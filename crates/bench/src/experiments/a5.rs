@@ -21,7 +21,7 @@
 //! * the chunked-transfer cost paid by a blanked cohort that rejoins
 //!   (chunks and ticks of its `SnapshotInstalled`).
 //!
-//! `exp_a5 <path>` additionally writes the points as JSON — the
+//! `exp a5 <path>` additionally writes the points as JSON — the
 //! `BENCH_snapshot.json` baseline recorded by CI. The run is fully
 //! deterministic (fixed seeds, simulated time), so the baseline is
 //! byte-stable across machines.

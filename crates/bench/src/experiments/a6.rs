@@ -18,7 +18,7 @@
 //! * writer coalescing: frames that rode a shared vectored write
 //!   (networked setup).
 //!
-//! `exp_a6 <path>` additionally writes the points as JSON — the
+//! `exp a6 <path>` additionally writes the points as JSON — the
 //! `BENCH_pipeline.json` trajectory recorded by CI. Wall-clock numbers
 //! vary across machines; the *ratios* (scaling with clients, durable
 //! vs in-memory) are the experiment's claims.

@@ -15,7 +15,7 @@
 //!   (`leased_reads / committed`), which keeps the comparison honest —
 //!   a cell where leases never formed would show a share near zero.
 //!
-//! `exp_a7 <path>` additionally writes the points as JSON — the
+//! `exp a7 <path>` additionally writes the points as JSON — the
 //! `BENCH_leases.json` trajectory recorded by CI. Wall-clock numbers
 //! vary across machines; the claims are the *ratios* between the
 //! leases-on and leases-off rows of the same setup and mix.

@@ -4,7 +4,7 @@
 //! PODC '88 papers carry no benchmark tables; the paper's evaluation is
 //! a set of quantitative *claims* (Sections 3.7, 4.1, 4.2, 5, 6). Each
 //! module here turns one claim into a measurable experiment with a
-//! printed table; `exp_all` regenerates the full set.
+//! printed table; `exp all` regenerates the full set.
 
 pub mod a1;
 pub mod a2;
@@ -26,27 +26,40 @@ pub mod e7;
 pub mod e8;
 pub mod e9;
 
+/// An experiment's id and the function that runs it and returns its
+/// table.
+pub type Experiment = (&'static str, fn() -> String);
+
+/// Every experiment, by id, in report order.
+pub const ALL: &[Experiment] = &[
+    ("e1", e1::run),
+    ("e2", e2::run),
+    ("e3", e3::run),
+    ("e4", e4::run),
+    ("e5", e5::run),
+    ("e6", e6::run),
+    ("e7", e7::run),
+    ("e8", e8::run),
+    ("e9", e9::run),
+    ("e10", e10::run),
+    ("e11", e11::run),
+    ("e12", e12::run),
+    ("a1", a1::run),
+    ("a2", a2::run),
+    ("a3", a3::run),
+    ("a4", a4::run),
+    ("a5", a5::run),
+    ("a6", a6::run),
+    ("a7", a7::run),
+];
+
+/// Run one experiment by id and return its table, or `None` for an
+/// unknown id.
+pub fn run(id: &str) -> Option<String> {
+    ALL.iter().find(|(name, _)| *name == id).map(|(_, run)| run())
+}
+
 /// Run every experiment in order, returning the concatenated report.
 pub fn run_all() -> String {
-    let mut out = String::new();
-    out.push_str(&e1::run());
-    out.push_str(&e2::run());
-    out.push_str(&e3::run());
-    out.push_str(&e4::run());
-    out.push_str(&e5::run());
-    out.push_str(&e6::run());
-    out.push_str(&e7::run());
-    out.push_str(&e8::run());
-    out.push_str(&e9::run());
-    out.push_str(&e10::run());
-    out.push_str(&e11::run());
-    out.push_str(&e12::run());
-    out.push_str(&a1::run());
-    out.push_str(&a2::run());
-    out.push_str(&a3::run());
-    out.push_str(&a4::run());
-    out.push_str(&a5::run());
-    out.push_str(&a6::run());
-    out.push_str(&a7::run());
-    out
+    ALL.iter().map(|(_, run)| run()).collect()
 }

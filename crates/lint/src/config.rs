@@ -23,22 +23,12 @@ pub struct CrateRules {
 #[derive(Debug, Clone, Default)]
 pub struct FlowConfig {
     /// Flow rule families/ids to enable (`handler_coverage`,
-    /// `effect_discipline`, `telemetry_registry`, `lock_order`).
+    /// `lock_order`).
     pub rules: Vec<String>,
     /// Enums whose variants need construction + core-handler coverage.
     pub handler_enums: Vec<String>,
-    /// The effect enum every harness must apply in full.
-    pub effect_enum: String,
-    /// The trace-kind enum every telemetry match must cover.
-    pub trace_enum: String,
-    /// The counter struct whose `counters()` registry is checked.
-    pub metrics_struct: String,
     /// The crate defining the protocol enums (handlers live here).
     pub core: String,
-    /// Crates that each run the full effect loop.
-    pub harnesses: Vec<String>,
-    /// The crate defining Metrics/TraceKind and the exporters.
-    pub telemetry: String,
     /// Crates whose lock acquisition orders are checked pairwise.
     pub lock_order: Vec<String>,
 }
@@ -115,12 +105,7 @@ impl Config {
                 Some("flow") => match key {
                     "rules" => cfg.flow.rules = parse_string_array(value, lineno)?,
                     "handler_enums" => cfg.flow.handler_enums = parse_string_array(value, lineno)?,
-                    "effect_enum" => cfg.flow.effect_enum = parse_string(value, lineno)?,
-                    "trace_enum" => cfg.flow.trace_enum = parse_string(value, lineno)?,
-                    "metrics_struct" => cfg.flow.metrics_struct = parse_string(value, lineno)?,
                     "core" => cfg.flow.core = parse_string(value, lineno)?,
-                    "harnesses" => cfg.flow.harnesses = parse_string_array(value, lineno)?,
-                    "telemetry" => cfg.flow.telemetry = parse_string(value, lineno)?,
                     "lock_order" => cfg.flow.lock_order = parse_string_array(value, lineno)?,
                     other => {
                         return Err(ConfigError {
@@ -247,15 +232,12 @@ rules = ["determinism", "sans_io"]
     fn parses_flow_section() {
         let cfg = Config::parse(
             "[flow]\nrules = [\"handler_coverage\", \"lock_order\"]\n\
-             handler_enums = [\"Message\", \"Timer\"]\neffect_enum = \"Effect\"\n\
-             trace_enum = \"TraceKind\"\nmetrics_struct = \"Metrics\"\ncore = \"vsr-core\"\n\
-             harnesses = [\"vsr-sim\", \"vsr-runtime\"]\ntelemetry = \"vsr-obs\"\n\
+             handler_enums = [\"Message\", \"Timer\"]\ncore = \"vsr-core\"\n\
              lock_order = [\"vsr-runtime\", \"vsr-net\"]\n",
         )
         .expect("parses");
         assert_eq!(cfg.flow.rules, ["handler_coverage", "lock_order"]);
         assert_eq!(cfg.flow.core, "vsr-core");
-        assert_eq!(cfg.flow.harnesses, ["vsr-sim", "vsr-runtime"]);
         assert_eq!(cfg.flow.lock_order, ["vsr-runtime", "vsr-net"]);
     }
 

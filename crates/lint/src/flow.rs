@@ -9,31 +9,19 @@
 //!   constructed somewhere outside tests and matched by a handler in
 //!   the core crate. A variant nobody builds is dead protocol surface;
 //!   a variant no core handler matches is a silent drop.
-//! * `effect_discipline` — `effect_parity`: every `Effect` variant
-//!   must have an apply arm in *each* harness crate (the sim `World`
-//!   effect loop and the runtime cohort thread). Rust exhaustiveness
-//!   already forces full matches, so what this catches is the
-//!   wildcard-arm shortcut that silently ignores a new effect in one
-//!   harness only.
-//! * `telemetry_registry` — `counter_registry` / `trace_schema`: every
-//!   `u64` field of the `Metrics` struct must be registered in
-//!   `counters()` and incremented (or assigned) somewhere; every
-//!   `match` over `TraceKind` in the telemetry crate must name every
-//!   kind, and every kind-name string must appear in the exporters'
-//!   schema tables.
 //! * `lock_order` — `lock_order_inversion`: per crate, build each
 //!   function's guard-acquisition sequence from `.lock()` call sites
 //!   and flag lock pairs taken in opposite orders by two functions.
 //!
-//! Approximations are documented in DESIGN.md §10.2: handler/effect
-//! analysis keys on `Enum::Variant` paths (no type inference), counter
-//! sites key on field names, and lock order is intra-function with
-//! receiver-field names standing in for lock identity.
+//! Approximations are documented in DESIGN.md §10.2: handler analysis
+//! keys on `Enum::Variant` paths (no type inference), and lock order is
+//! intra-function with receiver-field names standing in for lock
+//! identity.
 
 use crate::config::FlowConfig;
 use crate::diag::Diagnostic;
 use crate::lexer::{Tok, TokKind};
-use crate::parse::{EnumDef, ParsedFile, StructDef};
+use crate::parse::{EnumDef, ParsedFile};
 use std::collections::{BTreeMap, BTreeSet};
 use std::path::{Path, PathBuf};
 
@@ -49,25 +37,9 @@ pub struct FlowFile<'a> {
     pub parsed: &'a ParsedFile,
 }
 
-/// The flow configuration used when linting standalone files (fixture
-/// tests, `vsr-lint FILE…`): the file plays every role, under the
-/// workspace's conventional names.
-pub fn single_file_config() -> FlowConfig {
-    FlowConfig {
-        rules: Vec::new(),
-        handler_enums: vec!["Message".to_string(), "Timer".to_string()],
-        effect_enum: "Effect".to_string(),
-        trace_enum: "TraceKind".to_string(),
-        metrics_struct: "Metrics".to_string(),
-        core: String::new(),
-        harnesses: vec![String::new()],
-        telemetry: String::new(),
-        lock_order: vec![String::new()],
-    }
-}
-
-/// Run the enabled flow rules over one standalone file, which serves
-/// as core, harness, telemetry, and lock-order domain at once.
+/// Run the enabled flow rules over one standalone file (fixture tests,
+/// `vsr-lint FILE…`), which serves as core and lock-order domain at
+/// once, under the workspace's conventional handler enums.
 pub fn run_single_file(
     display: &Path,
     toks: &[Tok],
@@ -75,7 +47,12 @@ pub fn run_single_file(
     parsed: &ParsedFile,
     enabled: &BTreeSet<&'static str>,
 ) -> Vec<Diagnostic> {
-    let cfg = single_file_config();
+    let cfg = FlowConfig {
+        rules: Vec::new(),
+        handler_enums: vec!["Message".to_string(), "Timer".to_string()],
+        core: String::new(),
+        lock_order: vec![String::new()],
+    };
     let mut units = BTreeMap::new();
     units.insert(String::new(), vec![FlowFile { display, toks, excluded, parsed }]);
     // A standalone file can never fail role validation.
@@ -97,21 +74,6 @@ pub fn run(
         for ename in &cfg.handler_enums {
             handler_coverage(cfg, enabled, units, core, ename, &mut out);
         }
-    }
-    if enabled.contains("effect_parity") {
-        let core = role(units, &cfg.core, "flow.core")?;
-        for h in &cfg.harnesses {
-            let files = role(units, h, "flow.harnesses")?;
-            effect_parity(&cfg.effect_enum, h, core, files, &mut out);
-        }
-    }
-    if enabled.contains("counter_registry") {
-        let telemetry = role(units, &cfg.telemetry, "flow.telemetry")?;
-        counter_registry(&cfg.metrics_struct, telemetry, units, &mut out);
-    }
-    if enabled.contains("trace_schema") {
-        let telemetry = role(units, &cfg.telemetry, "flow.telemetry")?;
-        trace_schema(&cfg.trace_enum, telemetry, &mut out);
     }
     if enabled.contains("lock_order_inversion") {
         for krate in &cfg.lock_order {
@@ -149,12 +111,6 @@ fn mk(
 fn find_enum<'a>(files: &'a [FlowFile], name: &str) -> Option<(&'a Path, &'a EnumDef)> {
     files.iter().find_map(|f| {
         f.parsed.enums.iter().find(|e| !e.excluded && e.name == name).map(|e| (f.display, e))
-    })
-}
-
-fn find_struct<'a>(files: &'a [FlowFile], name: &str) -> Option<(&'a FlowFile<'a>, &'a StructDef)> {
-    files.iter().find_map(|f| {
-        f.parsed.structs.iter().find(|s| !s.excluded && s.name == name).map(|s| (f, s))
     })
 }
 
@@ -232,234 +188,6 @@ fn handler_coverage(
                 format!("`{ename}::{v}` is never matched by a core handler"),
                 "every constructed variant must reach a pattern in the core state machine \
                  (on_message / on_timer); an unmatched variant is a silent drop",
-            ));
-        }
-    }
-}
-
-// -------------------------------------------------------- effect_parity
-
-fn effect_parity(
-    ename: &str,
-    harness: &str,
-    core: &[FlowFile],
-    files: &[FlowFile],
-    out: &mut Vec<Diagnostic>,
-) {
-    let Some((def_path, def)) = find_enum(core, ename) else { return };
-    let variants: BTreeSet<&str> = def.variants.iter().map(|(n, _)| n.as_str()).collect();
-    let mut applied: BTreeSet<&str> = BTreeSet::new();
-    let mut anchor: Option<(PathBuf, u32)> = None;
-    for f in files {
-        for m in &f.parsed.matches {
-            if m.excluded {
-                continue;
-            }
-            let mut names_effect = false;
-            for arm in &m.arms {
-                for i in arm.pat.0..arm.pat.1 {
-                    if let Some(v) = variant_path(f, i, ename, &variants) {
-                        applied.insert(v);
-                        names_effect = true;
-                    }
-                }
-            }
-            if names_effect && anchor.is_none() {
-                anchor = Some((f.display.to_path_buf(), m.line));
-            }
-        }
-    }
-    let label = if harness.is_empty() { "this file".to_string() } else { format!("`{harness}`") };
-    let Some((anchor_path, anchor_line)) = anchor else {
-        out.push(mk(
-            def_path,
-            def.line,
-            "effect_parity",
-            format!("harness {label} has no `match` over `{ename}` — effects are never applied"),
-            "every harness must run the core's effect loop; a harness that applies nothing \
-             diverges from the simulation on the first effect",
-        ));
-        return;
-    };
-    for (v, _) in &def.variants {
-        if !applied.contains(v.as_str()) {
-            out.push(mk(
-                &anchor_path,
-                anchor_line,
-                "effect_parity",
-                format!("`{ename}::{v}` has no apply arm in harness {label}"),
-                "the sim World and the runtime cohort thread must apply the identical \
-                 effect set; a one-sided arm is silent sim/runtime divergence",
-            ));
-        }
-    }
-}
-
-// --------------------------------------------------- telemetry_registry
-
-/// The fields `counters()` registers: every ident following `self .`
-/// in the body of a fn named `counters` in the telemetry unit.
-fn registered_fields(telemetry: &[FlowFile]) -> BTreeSet<String> {
-    let mut out = BTreeSet::new();
-    for f in telemetry {
-        for func in &f.parsed.fns {
-            if func.excluded || func.name != "counters" {
-                continue;
-            }
-            let (start, end) = func.body;
-            for i in start..end {
-                if f.toks[i].is_ident("self")
-                    && matches!(f.toks.get(i + 1), Some(t) if t.is_punct("."))
-                {
-                    if let Some(field) = f.toks.get(i + 2) {
-                        if field.kind == TokKind::Ident {
-                            out.insert(field.text.clone());
-                        }
-                    }
-                }
-            }
-        }
-    }
-    out
-}
-
-/// Does any analyzed file mutate `.{field}` via `+=` or plain `=`?
-/// Counter updates take both shapes: harness loops increment, while
-/// `Cluster::metrics()` assigns accumulated transport totals.
-fn has_increment_site(field: &str, units: &BTreeMap<String, Vec<FlowFile>>) -> bool {
-    for files in units.values() {
-        for f in files {
-            for i in 0..f.toks.len() {
-                if f.excluded[i] || !f.toks[i].is_ident(field) {
-                    continue;
-                }
-                if !matches!(i.checked_sub(1).and_then(|p| f.toks.get(p)), Some(t) if t.is_punct("."))
-                {
-                    continue;
-                }
-                match (f.toks.get(i + 1), f.toks.get(i + 2)) {
-                    (Some(a), Some(b)) if a.is_punct("+") && b.is_punct("=") => return true,
-                    (Some(a), Some(b)) if a.is_punct("=") && !b.is_punct("=") => return true,
-                    _ => {}
-                }
-            }
-        }
-    }
-    false
-}
-
-fn counter_registry(
-    metrics_struct: &str,
-    telemetry: &[FlowFile],
-    units: &BTreeMap<String, Vec<FlowFile>>,
-    out: &mut Vec<Diagnostic>,
-) {
-    let Some((def_file, def)) = find_struct(telemetry, metrics_struct) else { return };
-    let registered = registered_fields(telemetry);
-    for (field, ty, line) in &def.fields {
-        if ty != "u64" {
-            continue; // histograms and maps register derived entries
-        }
-        if !registered.contains(field) {
-            out.push(mk(
-                def_file.display,
-                *line,
-                "counter_registry",
-                format!(
-                    "counter field `{field}` is not registered in `{metrics_struct}::counters()`"
-                ),
-                "counters() is the exporters' schema: a counter outside it never reaches a \
-                 trace artifact or parity test",
-            ));
-        } else if !has_increment_site(field, units) {
-            out.push(mk(
-                def_file.display,
-                *line,
-                "counter_registry",
-                format!("counter `{field}` is registered but never incremented or assigned"),
-                "a registered counter nobody updates exports as a permanently-zero signal \
-                 and hides the instrumentation gap it was added to close",
-            ));
-        }
-    }
-}
-
-fn trace_schema(trace_enum: &str, telemetry: &[FlowFile], out: &mut Vec<Diagnostic>) {
-    let Some((def_path, def)) = find_enum(telemetry, trace_enum) else { return };
-    let variants: BTreeSet<&str> = def.variants.iter().map(|(n, _)| n.as_str()).collect();
-    // Every match over the trace enum must name every kind: the
-    // exporters and the timeline renderer all claim full coverage.
-    for f in telemetry {
-        for m in &f.parsed.matches {
-            if m.excluded {
-                continue;
-            }
-            let mut named: BTreeSet<&str> = BTreeSet::new();
-            for arm in &m.arms {
-                for i in arm.pat.0..arm.pat.1 {
-                    if let Some(v) = variant_path(f, i, trace_enum, &variants) {
-                        named.insert(v);
-                    }
-                }
-            }
-            if named.is_empty() {
-                continue;
-            }
-            let missing: Vec<&str> =
-                variants.iter().filter(|v| !named.contains(*v)).copied().collect();
-            if !missing.is_empty() {
-                out.push(mk(
-                    f.display,
-                    m.line,
-                    "trace_schema",
-                    format!(
-                        "`match` over `{trace_enum}` does not cover `{}`",
-                        missing.join("`, `")
-                    ),
-                    "exporters and renderers must handle every trace kind, or post-mortem \
-                     timelines silently drop events of the missing kinds",
-                ));
-            }
-        }
-    }
-    // Kind-name strings (the `name()` arm literals) must appear in at
-    // least one *other* telemetry file — that is where the exporters'
-    // schema tables (KIND_FIELDS) live. Only meaningful across files.
-    if telemetry.len() < 2 {
-        return;
-    }
-    let Some(def_file) = telemetry.iter().find(|f| f.display == def_path) else { return };
-    let mut kind_names: Vec<(String, u32)> = Vec::new();
-    for m in &def_file.parsed.matches {
-        if m.excluded {
-            continue;
-        }
-        for arm in &m.arms {
-            let names_trace = (arm.pat.0..arm.pat.1)
-                .any(|i| variant_path(def_file, i, trace_enum, &variants).is_some());
-            // The arm body's first token: pat.1 is the `=>`.
-            if let Some(body) = def_file.toks.get(arm.pat.1 + 1) {
-                if names_trace && body.kind == TokKind::Str {
-                    kind_names.push((body.text.clone(), body.line));
-                }
-            }
-        }
-    }
-    for (name, line) in kind_names {
-        let elsewhere = telemetry.iter().filter(|f| f.display != def_path).any(|f| {
-            f.toks
-                .iter()
-                .enumerate()
-                .any(|(i, t)| !f.excluded[i] && t.kind == TokKind::Str && t.text == name)
-        });
-        if !elsewhere {
-            out.push(mk(
-                def_path,
-                line,
-                "trace_schema",
-                format!("trace kind name \"{name}\" appears in no exporter schema table"),
-                "every kind name must be listed in the exporters' field tables \
-                 (KIND_FIELDS) or validate_jsonl will reject events of that kind",
             ));
         }
     }
@@ -708,66 +436,6 @@ mod tests {
         let d = run_on(src, &["handler_coverage"]);
         assert_eq!(d.len(), 1);
         assert_eq!(d[0].rule, "dead_variant");
-    }
-
-    #[test]
-    fn effect_parity_flags_wildcard_gap() {
-        let src = "enum Effect { Send, SetTimer, Observe }\n\
-                   fn apply(e: Effect) { match e { Effect::Send => s(), Effect::Observe => o(), _ => {} } }";
-        let d = run_on(src, &["effect_discipline"]);
-        assert_eq!(d.len(), 1, "{d:?}");
-        assert_eq!(d[0].rule, "effect_parity");
-        assert!(d[0].message.contains("Effect::SetTimer"));
-    }
-
-    #[test]
-    fn effect_parity_accepts_full_coverage_across_matches() {
-        let src = "enum Effect { Send, Observe }\n\
-                   fn apply_net(e: &Effect) { match e { Effect::Send => s(), _ => {} } }\n\
-                   fn apply_rest(e: Effect) { match e { Effect::Observe => o(), Effect::Send => s() } }";
-        assert!(run_on(src, &["effect_discipline"]).is_empty());
-    }
-
-    #[test]
-    fn counter_registry_flags_unregistered_and_unincremented() {
-        let src = "struct Metrics { hits: u64, misses: u64, silent: u64 }\n\
-                   impl Metrics { fn counters(&self) -> V { vec![(\"hits\", self.hits), (\"misses\", self.misses)] } }\n\
-                   fn bump(m: &mut Metrics) { m.hits += 1; m.misses = m.misses.max(1); }";
-        let d = run_on(src, &["telemetry_registry"]);
-        assert_eq!(d.len(), 1, "{d:?}");
-        assert_eq!(d[0].rule, "counter_registry");
-        assert!(d[0].message.contains("`silent`"));
-        assert!(d[0].message.contains("not registered"));
-    }
-
-    #[test]
-    fn counter_registry_flags_never_incremented() {
-        let src = "struct Metrics { hits: u64 }\n\
-                   impl Metrics { fn counters(&self) -> V { vec![(\"hits\", self.hits)] } }\n\
-                   fn read(m: &Metrics) -> u64 { m.hits }";
-        let d = run_on(src, &["telemetry_registry"]);
-        assert_eq!(d.len(), 1, "{d:?}");
-        assert!(d[0].message.contains("never incremented"));
-    }
-
-    #[test]
-    fn comparison_is_not_an_increment_site() {
-        let src = "struct Metrics { hits: u64 }\n\
-                   impl Metrics { fn counters(&self) -> V { vec![(\"hits\", self.hits)] } }\n\
-                   fn check(m: &Metrics) -> bool { m.hits == 3 }";
-        let d = run_on(src, &["telemetry_registry"]);
-        assert_eq!(d.len(), 1, "`==` must not satisfy the increment check: {d:?}");
-    }
-
-    #[test]
-    fn trace_schema_flags_partial_exporter_match() {
-        let src = "enum TraceKind { Send, Recv }\n\
-                   fn export(k: &TraceKind) -> u32 { match k { TraceKind::Send => 1, TraceKind::Recv => 2 } }\n\
-                   fn partial(k: &TraceKind) -> u32 { match k { TraceKind::Send => 1, _ => 0 } }";
-        let d = run_on(src, &["telemetry_registry"]);
-        assert_eq!(d.len(), 1, "{d:?}");
-        assert_eq!(d[0].rule, "trace_schema");
-        assert!(d[0].message.contains("Recv"));
     }
 
     #[test]

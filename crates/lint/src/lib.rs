@@ -5,11 +5,10 @@
 //! deterministic and I/O-free; nothing used to enforce that beyond
 //! review. This crate parses every configured crate with a small
 //! self-contained Rust lexer (the offline build environment rules out
-//! `syn`) plus an item-level parser, and enforces eight rule families:
+//! `syn`) plus an item-level parser, and enforces six rule families:
 //! four per-file token families — determinism, sans-I/O, protocol
-//! shape, error discipline — and four cross-file flow families —
-//! handler coverage, effect discipline, telemetry registry, lock
-//! order. See [`rules`] for the rule catalog, [`flow`] for the flow
+//! shape, error discipline — and two cross-file flow families —
+//! handler coverage and lock order. See [`rules`] for the rule catalog, [`flow`] for the flow
 //! passes, and DESIGN.md §10 for the rationale behind each rule.
 //!
 //! Run it as a binary (`cargo run -p vsr-lint -- --workspace`) or call
@@ -137,8 +136,7 @@ pub fn run_workspace(workspace_root: &Path, config: &Config) -> Result<Vec<Diagn
 }
 
 /// Lint one standalone file with token rules *and* flow rules, the
-/// file standing in for every flow role (core, harness, telemetry,
-/// lock-order domain). This is what `vsr-lint FILE…` and the fixture
+/// file standing in for every flow role (core, lock-order domain). This is what `vsr-lint FILE…` and the fixture
 /// tests run.
 pub fn lint_file(
     display: &Path,

@@ -1,11 +1,10 @@
 //! Item-level parsing on top of the token stream.
 //!
-//! The flow rules (handler coverage, effect/telemetry parity, lock
-//! order) need more than token patterns: which enum variants exist,
-//! which tokens sit in pattern position, where function bodies begin
-//! and end. This module extracts exactly that — items, match arms,
-//! pattern regions, struct fields — and nothing more; it is not an
-//! expression parser and never needs to be one.
+//! The flow rules (handler coverage, lock order) need more than token
+//! patterns: which enum variants exist, which tokens sit in pattern
+//! position, where function bodies begin and end. This module extracts
+//! exactly that — items, match arms, pattern regions — and nothing
+//! more; it is not an expression parser and never needs to be one.
 //!
 //! Pattern position is the load-bearing concept: `Message::Prepare` in
 //! a match arm, a `let`/`if let` destructure, a `for` binding, or the
@@ -20,26 +19,10 @@ use crate::lexer::{Tok, TokKind};
 pub struct EnumDef {
     /// Type name.
     pub name: String,
-    /// 1-based line of the `enum` keyword.
-    pub line: u32,
     /// Defined inside a `#[cfg(test)]`/`#[test]` region.
     pub excluded: bool,
     /// Variant name and its definition line, in source order.
     pub variants: Vec<(String, u32)>,
-}
-
-/// One named-field `struct` definition. Tuple and unit structs are
-/// recorded with no fields.
-#[derive(Debug)]
-pub struct StructDef {
-    /// Type name.
-    pub name: String,
-    /// 1-based line of the `struct` keyword.
-    pub line: u32,
-    /// Defined inside a test region.
-    pub excluded: bool,
-    /// (field name, first token of its type, line), in source order.
-    pub fields: Vec<(String, String, u32)>,
 }
 
 /// One `fn` item that has a body.
@@ -47,8 +30,6 @@ pub struct StructDef {
 pub struct FnDef {
     /// Function name (not qualified by its impl block).
     pub name: String,
-    /// 1-based line of the `fn` keyword.
-    pub line: u32,
     /// Defined inside a test region.
     pub excluded: bool,
     /// Token indices of the body's `{` and matching `}` (inclusive).
@@ -70,8 +51,6 @@ pub struct Arm {
 /// One `match` expression.
 #[derive(Debug)]
 pub struct MatchExpr {
-    /// 1-based line of the `match` keyword.
-    pub line: u32,
     /// Inside a test region.
     pub excluded: bool,
     /// The arms, in source order.
@@ -83,8 +62,6 @@ pub struct MatchExpr {
 pub struct ParsedFile {
     /// Enum definitions, in source order.
     pub enums: Vec<EnumDef>,
-    /// Struct definitions, in source order.
-    pub structs: Vec<StructDef>,
     /// Function items with bodies, in source order (nested functions
     /// appear after their parent; ranges may overlap).
     pub fns: Vec<FnDef>,
@@ -110,14 +87,6 @@ pub fn parse(toks: &[Tok], excluded: &[bool]) -> ParsedFile {
                 i = end + 1;
                 continue;
             }
-        } else if t.is_ident("struct")
-            && matches!(toks.get(i + 1), Some(x) if x.kind == TokKind::Ident)
-        {
-            if let Some((def, end)) = parse_struct(toks, i, excluded[i]) {
-                out.structs.push(def);
-                i = end + 1;
-                continue;
-            }
         } else if t.is_ident("fn") && matches!(toks.get(i + 1), Some(x) if x.kind == TokKind::Ident)
         {
             if let Some(def) = parse_fn(toks, i, excluded[i]) {
@@ -130,7 +99,7 @@ pub fn parse(toks: &[Tok], excluded: &[bool]) -> ParsedFile {
                 for arm in &arms {
                     mark(&mut out.pattern, arm.pat.0, arm.pat.1);
                 }
-                out.matches.push(MatchExpr { line: t.line, excluded: excluded[i], arms });
+                out.matches.push(MatchExpr { excluded: excluded[i], arms });
             }
         } else if t.is_ident("matches") && matches!(toks.get(i + 1), Some(x) if x.is_punct("!")) {
             if let Some((s, e)) = matches_macro_pattern(toks, i) {
@@ -247,72 +216,14 @@ fn parse_enum(toks: &[Tok], i: usize, excluded: bool) -> Option<(EnumDef, usize)
         }
         j += 1;
     }
-    Some((EnumDef { name, line: toks[i].line, excluded, variants }, close))
-}
-
-fn parse_struct(toks: &[Tok], i: usize, excluded: bool) -> Option<(StructDef, usize)> {
-    let name = toks[i + 1].text.clone();
-    let line = toks[i].line;
-    // Tuple struct `struct X(…);` or unit struct `struct X;` — record
-    // with no fields, ending at the `;`.
-    let Some(open) = find_item_brace(toks, i + 2) else {
-        let mut j = i + 2;
-        let mut depth = 0i32;
-        while let Some(t) = toks.get(j) {
-            if t.is_punct("(") || t.is_punct("[") {
-                depth += 1;
-            } else if t.is_punct(")") || t.is_punct("]") {
-                depth -= 1;
-            } else if t.is_punct(";") && depth == 0 {
-                break;
-            }
-            j += 1;
-        }
-        return Some((StructDef { name, line, excluded, fields: Vec::new() }, j));
-    };
-    // A tuple struct whose `;` comes after the paren group would have
-    // matched above; from here the `{` is the field block.
-    let close = matching_brace(toks, open)?;
-    let mut fields = Vec::new();
-    let mut depth = 1i32;
-    let mut angle = 0i32;
-    let mut expect = true;
-    let mut j = open + 1;
-    while j < close {
-        let t = &toks[j];
-        if depth == 1 && t.is_punct("#") && matches!(toks.get(j + 1), Some(x) if x.is_punct("[")) {
-            j = skip_attr(toks, j);
-            continue;
-        }
-        if t.is_punct("{") || t.is_punct("(") || t.is_punct("[") {
-            depth += 1;
-        } else if t.is_punct("}") || t.is_punct(")") || t.is_punct("]") {
-            depth -= 1;
-        } else if depth == 1 {
-            if t.is_punct("<") {
-                angle += 1;
-            } else if t.is_punct(">") {
-                angle -= 1;
-            } else if t.is_punct(",") && angle == 0 {
-                expect = true;
-            } else if expect && t.kind == TokKind::Ident && !t.is_ident("pub") {
-                if matches!(toks.get(j + 1), Some(x) if x.is_punct(":")) {
-                    let ty = toks.get(j + 2).map(|x| x.text.clone()).unwrap_or_default();
-                    fields.push((t.text.clone(), ty, t.line));
-                }
-                expect = false;
-            }
-        }
-        j += 1;
-    }
-    Some((StructDef { name, line, excluded, fields }, close))
+    Some((EnumDef { name, excluded, variants }, close))
 }
 
 fn parse_fn(toks: &[Tok], i: usize, excluded: bool) -> Option<FnDef> {
     let name = toks[i + 1].text.clone();
     let open = find_item_brace(toks, i + 2)?;
     let close = matching_brace(toks, open)?;
-    Some(FnDef { name, line: toks[i].line, excluded, body: (open, close) })
+    Some(FnDef { name, excluded, body: (open, close) })
 }
 
 /// Parse the arms of the `match` whose keyword is at index `i`.
@@ -531,27 +442,6 @@ mod tests {
         let (_, p) = parsed("enum E<T: Ord<Rhs = T>> { A(T), B }");
         let names: Vec<&str> = p.enums[0].variants.iter().map(|(n, _)| n.as_str()).collect();
         assert_eq!(names, ["A", "B"]);
-    }
-
-    #[test]
-    fn struct_fields_record_first_type_token() {
-        let (_, p) = parsed(
-            "pub struct Metrics { pub submitted: u64, pub msgs: BTreeMap<&'static str, u64>, pub lat: Histogram, }",
-        );
-        let f = &p.structs[0].fields;
-        assert_eq!(f.len(), 3);
-        assert_eq!((f[0].0.as_str(), f[0].1.as_str()), ("submitted", "u64"));
-        assert_eq!((f[1].0.as_str(), f[1].1.as_str()), ("msgs", "BTreeMap"));
-        assert_eq!((f[2].0.as_str(), f[2].1.as_str()), ("lat", "Histogram"));
-    }
-
-    #[test]
-    fn tuple_and_unit_structs_have_no_fields() {
-        let (_, p) = parsed("struct A(u32, u64);\nstruct B;\nstruct C { x: u8 }");
-        assert_eq!(p.structs.len(), 3);
-        assert!(p.structs[0].fields.is_empty());
-        assert!(p.structs[1].fields.is_empty());
-        assert_eq!(p.structs[2].fields.len(), 1);
     }
 
     #[test]

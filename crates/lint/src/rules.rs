@@ -32,7 +32,7 @@ use std::collections::BTreeSet;
 use std::path::Path;
 
 /// Rule families, in the order `lint.toml` names them. The first four
-/// are per-file token rules; the last four are the cross-file flow
+/// are per-file token rules; the last two are the cross-file flow
 /// rules in [`crate::flow`], enabled through the `[flow]` section (or
 /// per-file with the file standing in for every role).
 pub const FAMILIES: &[(&str, &[&str])] = &[
@@ -41,8 +41,6 @@ pub const FAMILIES: &[(&str, &[&str])] = &[
     ("protocol_shape", &["wildcard_match"]),
     ("error_discipline", &["unwrap_used", "expect_used", "discarded_result"]),
     ("handler_coverage", &["dead_variant", "unhandled_variant"]),
-    ("effect_discipline", &["effect_parity"]),
-    ("telemetry_registry", &["counter_registry", "trace_schema"]),
     ("lock_order", &["lock_order_inversion"]),
 ];
 

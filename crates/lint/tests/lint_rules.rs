@@ -1,6 +1,6 @@
 //! Fixture-backed tests for every lint rule, plus the gate-level
 //! guarantees CI relies on: the real workspace lints clean under all
-//! eight families, lint.toml cannot go stale, and the CLI's exit
+//! six families, lint.toml cannot go stale, and the CLI's exit
 //! codes, `--rule` filter, and `--json` summary behave.
 
 use std::collections::BTreeSet;
@@ -8,16 +8,10 @@ use std::path::{Path, PathBuf};
 use std::process::Command;
 use vsr_lint::{check_membership, lint_file, load_config, rules, run_workspace};
 
-const ALL_FAMILIES: &[&str] = &[
-    "determinism",
-    "sans_io",
-    "protocol_shape",
-    "error_discipline",
-    "handler_coverage",
-    "effect_discipline",
-    "telemetry_registry",
-    "lock_order",
-];
+/// Every rule family, token and flow.
+fn all_families() -> Vec<String> {
+    rules::FAMILIES.iter().map(|(family, _)| family.to_string()).collect()
+}
 
 fn fixture_path(name: &str) -> PathBuf {
     Path::new(env!("CARGO_MANIFEST_DIR")).join("tests/fixtures").join(name)
@@ -27,8 +21,7 @@ fn lint_fixture(name: &str) -> Vec<vsr_lint::diag::Diagnostic> {
     let path = fixture_path(name);
     let src = std::fs::read_to_string(&path).expect("fixture exists");
     let enabled: BTreeSet<&'static str> =
-        rules::expand_rules(&ALL_FAMILIES.iter().map(|s| s.to_string()).collect::<Vec<_>>())
-            .expect("families expand");
+        rules::expand_rules(&all_families()).expect("families expand");
     let watched = vec!["Message".to_string(), "FaultEvent".to_string()];
     lint_file(&path, &src, &enabled, &watched)
 }
@@ -53,9 +46,6 @@ fn each_fixture_triggers_exactly_its_rule() {
         "lint_directive",
         "dead_variant",
         "unhandled_variant",
-        "effect_parity",
-        "counter_registry",
-        "trace_schema",
         "lock_order_inversion",
     ];
     for rule in cases {
@@ -83,7 +73,7 @@ fn clean_fixture_is_clean() {
 }
 
 /// The gate CI actually runs: the workspace's own crates, under the
-/// checked-in lint.toml with all eight families enabled, produce zero
+/// checked-in lint.toml with all six families enabled, produce zero
 /// diagnostics.
 #[test]
 fn workspace_lints_clean() {
@@ -135,7 +125,7 @@ fn cli_exit_codes() {
     assert_eq!(dirty.status.code(), Some(1), "diagnostics must exit 1");
 
     let clean = Command::new(env!("CARGO_BIN_EXE_vsr-lint"))
-        .args(["--rules", ALL_FAMILIES.join(",").as_str()])
+        .args(["--rules", all_families().join(",").as_str()])
         .args(["--watched", "Message,FaultEvent"])
         .arg(fixture_path("clean.rs"))
         .output()

@@ -1,11 +1,11 @@
-//! Structured trace events and the recorder trait that captures them.
+//! Structured trace events and the recorder that captures them.
 //!
 //! The sans-I/O core never records anything itself: cohorts emit
 //! protocol-level facts through `Effect::Observe`, and the harness that
-//! drives them (the sim `World` or the runtime `Cluster`) translates
-//! effects, deliveries, and timer fires into [`TraceEvent`]s pushed at
-//! an installed [`Recorder`]. Tracing is off unless a recorder is
-//! installed, so the hot path pays nothing by default.
+//! drives them (the sim `World` or the runtime `Cluster`) pushes the
+//! [`TraceEvent`]s the accounting hooks name at an installed
+//! [`SharedRecorder`]. Tracing is off unless a recorder is installed,
+//! so the hot path pays nothing by default.
 
 use std::fmt::Write as _;
 use std::sync::{Arc, Mutex};
@@ -87,21 +87,33 @@ impl TraceKind {
             TraceKind::DiskAppend { .. } => "disk-append",
         }
     }
-}
 
-/// Sink for trace events. Harnesses install one; everything upstream
-/// stays pure.
-pub trait Recorder {
-    /// Capture one event.
-    fn record(&mut self, event: TraceEvent);
-}
-
-/// A recorder that drops everything (tracing disabled).
-#[derive(Debug, Clone, Copy, Default)]
-pub struct NullRecorder;
-
-impl Recorder for NullRecorder {
-    fn record(&mut self, _event: TraceEvent) {}
+    /// One sample of every kind, for the schema tests. A new kind breaks
+    /// the `match` below until it is listed here too.
+    #[cfg(test)]
+    pub(crate) fn every() -> Vec<TraceKind> {
+        let all = vec![
+            TraceKind::Send { to: Mid(2), msg: "call" },
+            TraceKind::Recv { from: Mid(1), msg: "call" },
+            TraceKind::Timer { timer: "heartbeat" },
+            TraceKind::ForceBegin,
+            TraceKind::ForceFire { fired: 1 },
+            TraceKind::ViewState { from: "active", to: "underling" },
+            TraceKind::DiskAppend { bytes: 8 },
+        ];
+        for kind in &all {
+            match kind {
+                TraceKind::Send { .. }
+                | TraceKind::Recv { .. }
+                | TraceKind::Timer { .. }
+                | TraceKind::ForceBegin
+                | TraceKind::ForceFire { .. }
+                | TraceKind::ViewState { .. }
+                | TraceKind::DiskAppend { .. } => {}
+            }
+        }
+        all
+    }
 }
 
 /// A clonable, thread-safe recorder backed by a shared vector.
@@ -120,14 +132,14 @@ impl SharedRecorder {
         SharedRecorder::default()
     }
 
+    /// Capture one event.
+    pub fn record(&self, event: TraceEvent) {
+        self.events.lock().expect("invariant: recorder mutex not poisoned").push(event);
+    }
+
     /// Drain all captured events, leaving the buffer empty.
     pub fn take(&self) -> Vec<TraceEvent> {
         std::mem::take(&mut *self.events.lock().expect("invariant: recorder mutex not poisoned"))
-    }
-
-    /// Copy the captured events without draining.
-    pub fn snapshot(&self) -> Vec<TraceEvent> {
-        self.events.lock().expect("invariant: recorder mutex not poisoned").clone()
     }
 
     /// Number of captured events.
@@ -138,12 +150,6 @@ impl SharedRecorder {
     /// True if nothing has been captured.
     pub fn is_empty(&self) -> bool {
         self.len() == 0
-    }
-}
-
-impl Recorder for SharedRecorder {
-    fn record(&mut self, event: TraceEvent) {
-        self.events.lock().expect("invariant: recorder mutex not poisoned").push(event);
     }
 }
 
@@ -204,7 +210,7 @@ mod tests {
     #[test]
     fn shared_recorder_accumulates_and_drains() {
         let handle = SharedRecorder::new();
-        let mut writer = handle.clone();
+        let writer = handle.clone();
         for ev in sample() {
             writer.record(ev);
         }

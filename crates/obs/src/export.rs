@@ -167,47 +167,18 @@ mod tests {
     use super::*;
     use vsr_core::types::{Mid, Timestamp, ViewId, Viewstamp};
 
+    /// One event of every kind, every other one without a viewstamp.
     fn sample() -> Vec<TraceEvent> {
         let vs = Viewstamp { id: ViewId { counter: 3, manager: Mid(2) }, ts: Timestamp(11) };
-        vec![
-            TraceEvent {
-                tick: 1,
-                cohort: Mid(1),
-                vs: Some(vs),
-                kind: TraceKind::Send { to: Mid(2), msg: "call" },
-            },
-            TraceEvent {
-                tick: 2,
-                cohort: Mid(2),
-                vs: None,
-                kind: TraceKind::Recv { from: Mid(1), msg: "call" },
-            },
-            TraceEvent {
-                tick: 3,
-                cohort: Mid(2),
-                vs: Some(vs),
-                kind: TraceKind::Timer { timer: "heartbeat" },
-            },
-            TraceEvent { tick: 4, cohort: Mid(1), vs: Some(vs), kind: TraceKind::ForceBegin },
-            TraceEvent {
-                tick: 5,
-                cohort: Mid(1),
-                vs: Some(vs),
-                kind: TraceKind::ForceFire { fired: 2 },
-            },
-            TraceEvent {
-                tick: 6,
-                cohort: Mid(3),
-                vs: None,
-                kind: TraceKind::ViewState { from: "active", to: "underling" },
-            },
-            TraceEvent {
-                tick: 7,
-                cohort: Mid(3),
-                vs: Some(vs),
-                kind: TraceKind::DiskAppend { bytes: 640 },
-            },
-        ]
+        (1..)
+            .zip(TraceKind::every())
+            .map(|(tick, kind)| TraceEvent {
+                tick,
+                cohort: Mid(tick % 3),
+                vs: (tick % 2 == 1).then_some(vs),
+                kind,
+            })
+            .collect()
     }
 
     #[test]

@@ -9,10 +9,15 @@
 //!
 //! - [`TraceEvent`] / [`TraceKind`]: one structured record per
 //!   interesting moment (send, recv, timer, force-begin, force-fire,
-//!   view-state transition, disk append), captured through the
-//!   [`Recorder`] trait. The sans-I/O core emits protocol facts via
+//!   view-state transition, disk append), captured by a
+//!   [`SharedRecorder`]. The sans-I/O core emits protocol facts via
 //!   `Effect::Observe`; the sim `World` and runtime `Cluster` each
-//!   install a recorder and translate.
+//!   install a recorder.
+//! - The accounting hooks ([`Metrics::on_send`], `on_recv`,
+//!   `on_timer`, `on_persist`, `on_sync`, `on_observation`, in
+//!   [`account`]): the single place where effects, deliveries and
+//!   observations become counters and trace kinds. Both harnesses call
+//!   them, so their effect loops are pure I/O dispatch.
 //! - [`Histogram`]: fixed 64 × 32 log-bucketed latency histogram,
 //!   zero allocation on record, exact mean, ceil nearest-rank
 //!   percentiles.
@@ -30,13 +35,15 @@
 #![warn(missing_docs)]
 #![warn(missing_debug_implementations)]
 
+pub mod account;
 pub mod event;
 pub mod export;
 pub mod hist;
 pub mod json;
 pub mod metrics;
 
-pub use event::{render_timeline, NullRecorder, Recorder, SharedRecorder, TraceEvent, TraceKind};
+pub use account::PersistDelta;
+pub use event::{render_timeline, SharedRecorder, TraceEvent, TraceKind};
 pub use export::{export_chrome, export_jsonl, parse_jsonl, validate_jsonl};
 pub use hist::Histogram;
 pub use json::{parse_json, write_json, JsonValue};

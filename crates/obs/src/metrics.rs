@@ -10,8 +10,8 @@ use std::collections::BTreeMap;
 
 use crate::hist::Histogram;
 
-/// Counters and samples a harness records from effects and
-/// observations.
+/// Counters and samples recorded from effects and observations, almost
+/// all through the accounting hooks in [`crate::account`].
 #[derive(Debug, Clone, Default)]
 pub struct Metrics {
     /// Messages sent, by message name.
@@ -181,14 +181,6 @@ impl Metrics {
         self.commit_latency.percentile(p)
     }
 
-    /// Messages per committed transaction (foreground + background).
-    pub fn msgs_per_commit(&self) -> Option<f64> {
-        if self.committed == 0 {
-            return None;
-        }
-        Some(self.total_msgs() as f64 / self.committed as f64)
-    }
-
     /// Fraction of prepares that took the no-wait fast path.
     pub fn prepare_fast_fraction(&self) -> Option<f64> {
         let total = self.prepares_fast + self.prepares_waited;
@@ -200,57 +192,113 @@ impl Metrics {
 
     /// Every scalar counter with its stable name, in declaration
     /// order. The sim-vs-runtime parity test keys on these names, so
-    /// both harnesses expose exactly this set.
+    /// both harnesses expose exactly this set. The destructure names
+    /// every field, so a new one is a compile error here until it is
+    /// exported (histograms as their sample counts) or explicitly
+    /// skipped (the per-name maps, which `total_msgs`/`total_bytes`
+    /// summarize).
     pub fn counters(&self) -> Vec<(&'static str, u64)> {
+        let Metrics {
+            msgs: _,
+            bytes: _,
+            foreground_msgs,
+            foreground_bytes,
+            background_msgs,
+            view_change_msgs,
+            submitted,
+            committed,
+            aborted,
+            unresolved,
+            commit_latency,
+            view_formations,
+            prepares_fast,
+            prepares_waited,
+            forces_abandoned,
+            retransmissions,
+            timeouts_fired,
+            view_change_attempts,
+            buffer_clones_saved,
+            disk_appends,
+            disk_fsyncs,
+            disk_bytes_written,
+            checkpoints_taken,
+            records_replayed,
+            snapshots_taken,
+            snapshots_installed,
+            snapshot_chunks_sent,
+            snapshot_chunks_received,
+            snapshot_chunk_retries,
+            snapshot_chunks_corrupt,
+            statuses_gced,
+            transfer_ticks,
+            mailbox_drops,
+            net_frames_sent,
+            net_frames_recvd,
+            net_reconnects,
+            net_crc_rejects,
+            net_queue_drops,
+            net_deadline_hits,
+            mailbox_rejections,
+            net_queue_rejections,
+            net_frames_coalesced,
+            group_fsyncs,
+            records_per_fsync,
+            inflight_txns,
+            leased_reads,
+            lease_renewals,
+            lease_read_rejected,
+            lease_waits_on_view_change,
+            lease_read_ticks,
+        } = self;
         vec![
-            ("foreground_msgs", self.foreground_msgs),
-            ("foreground_bytes", self.foreground_bytes),
-            ("background_msgs", self.background_msgs),
-            ("view_change_msgs", self.view_change_msgs),
-            ("submitted", self.submitted),
-            ("committed", self.committed),
-            ("aborted", self.aborted),
-            ("unresolved", self.unresolved),
-            ("commit_latency_count", self.commit_latency.count()),
-            ("view_formations", self.view_formations),
-            ("prepares_fast", self.prepares_fast),
-            ("prepares_waited", self.prepares_waited),
-            ("forces_abandoned", self.forces_abandoned),
-            ("retransmissions", self.retransmissions),
-            ("timeouts_fired", self.timeouts_fired),
-            ("view_change_attempts", self.view_change_attempts),
-            ("buffer_clones_saved", self.buffer_clones_saved),
-            ("disk_appends", self.disk_appends),
-            ("disk_fsyncs", self.disk_fsyncs),
-            ("disk_bytes_written", self.disk_bytes_written),
-            ("checkpoints_taken", self.checkpoints_taken),
-            ("records_replayed", self.records_replayed),
-            ("snapshots_taken", self.snapshots_taken),
-            ("snapshots_installed", self.snapshots_installed),
-            ("snapshot_chunks_sent", self.snapshot_chunks_sent),
-            ("snapshot_chunks_received", self.snapshot_chunks_received),
-            ("snapshot_chunk_retries", self.snapshot_chunk_retries),
-            ("snapshot_chunks_corrupt", self.snapshot_chunks_corrupt),
-            ("snapshot_transfer_count", self.transfer_ticks.count()),
-            ("statuses_gced", self.statuses_gced),
-            ("mailbox_drops", self.mailbox_drops),
-            ("net_frames_sent", self.net_frames_sent),
-            ("net_frames_recvd", self.net_frames_recvd),
-            ("net_reconnects", self.net_reconnects),
-            ("net_crc_rejects", self.net_crc_rejects),
-            ("net_queue_drops", self.net_queue_drops),
-            ("net_deadline_hits", self.net_deadline_hits),
-            ("mailbox_rejections", self.mailbox_rejections),
-            ("net_queue_rejections", self.net_queue_rejections),
-            ("net_frames_coalesced", self.net_frames_coalesced),
-            ("group_fsyncs", self.group_fsyncs),
-            ("records_per_fsync_count", self.records_per_fsync.count()),
-            ("inflight_txns_count", self.inflight_txns.count()),
-            ("leased_reads", self.leased_reads),
-            ("lease_renewals", self.lease_renewals),
-            ("lease_read_rejected", self.lease_read_rejected),
-            ("lease_waits_on_view_change", self.lease_waits_on_view_change),
-            ("lease_read_count", self.lease_read_ticks.count()),
+            ("foreground_msgs", *foreground_msgs),
+            ("foreground_bytes", *foreground_bytes),
+            ("background_msgs", *background_msgs),
+            ("view_change_msgs", *view_change_msgs),
+            ("submitted", *submitted),
+            ("committed", *committed),
+            ("aborted", *aborted),
+            ("unresolved", *unresolved),
+            ("commit_latency_count", commit_latency.count()),
+            ("view_formations", *view_formations),
+            ("prepares_fast", *prepares_fast),
+            ("prepares_waited", *prepares_waited),
+            ("forces_abandoned", *forces_abandoned),
+            ("retransmissions", *retransmissions),
+            ("timeouts_fired", *timeouts_fired),
+            ("view_change_attempts", *view_change_attempts),
+            ("buffer_clones_saved", *buffer_clones_saved),
+            ("disk_appends", *disk_appends),
+            ("disk_fsyncs", *disk_fsyncs),
+            ("disk_bytes_written", *disk_bytes_written),
+            ("checkpoints_taken", *checkpoints_taken),
+            ("records_replayed", *records_replayed),
+            ("snapshots_taken", *snapshots_taken),
+            ("snapshots_installed", *snapshots_installed),
+            ("snapshot_chunks_sent", *snapshot_chunks_sent),
+            ("snapshot_chunks_received", *snapshot_chunks_received),
+            ("snapshot_chunk_retries", *snapshot_chunk_retries),
+            ("snapshot_chunks_corrupt", *snapshot_chunks_corrupt),
+            ("snapshot_transfer_count", transfer_ticks.count()),
+            ("statuses_gced", *statuses_gced),
+            ("mailbox_drops", *mailbox_drops),
+            ("net_frames_sent", *net_frames_sent),
+            ("net_frames_recvd", *net_frames_recvd),
+            ("net_reconnects", *net_reconnects),
+            ("net_crc_rejects", *net_crc_rejects),
+            ("net_queue_drops", *net_queue_drops),
+            ("net_deadline_hits", *net_deadline_hits),
+            ("mailbox_rejections", *mailbox_rejections),
+            ("net_queue_rejections", *net_queue_rejections),
+            ("net_frames_coalesced", *net_frames_coalesced),
+            ("group_fsyncs", *group_fsyncs),
+            ("records_per_fsync_count", records_per_fsync.count()),
+            ("inflight_txns_count", inflight_txns.count()),
+            ("leased_reads", *leased_reads),
+            ("lease_renewals", *lease_renewals),
+            ("lease_read_rejected", *lease_read_rejected),
+            ("lease_waits_on_view_change", *lease_waits_on_view_change),
+            ("lease_read_count", lease_read_ticks.count()),
         ]
     }
 }
@@ -272,7 +320,6 @@ mod tests {
         let m = Metrics::default();
         assert_eq!(m.mean_commit_latency(), None);
         assert_eq!(m.latency_percentile(0.5), None);
-        assert_eq!(m.msgs_per_commit(), None);
         assert_eq!(m.prepare_fast_fraction(), None);
         assert_eq!(m.total_msgs(), 0);
     }

@@ -50,7 +50,7 @@ use vsr_net::socket::DeliverFn;
 use vsr_net::{
     AddrMap, BoundedQueue, DropCounters, Endpoint, NetConfig, NetCounters, NetMetrics, RecvError,
 };
-use vsr_obs::{Metrics, Recorder, SharedRecorder, TraceEvent, TraceKind};
+use vsr_obs::{Metrics, PersistDelta, SharedRecorder, TraceEvent, TraceKind};
 use vsr_store::{FileStore, FsyncPolicy, SimDisk, Store, StoreError, StoreMetrics};
 
 /// A module factory shared across threads (recovery re-instantiates the
@@ -314,24 +314,14 @@ impl CohortThread {
         self.epoch.elapsed().as_millis() as u64
     }
 
-    /// Record a trace event stamped with this cohort's current
-    /// viewstamp (no-op unless the cluster enabled tracing).
-    fn trace(&mut self, kind: TraceKind) {
-        if self.recorder.is_none() {
-            return;
-        }
-        let vs = self.cohort.history().latest();
-        self.trace_with_vs(vs, kind);
-    }
-
-    /// Record a trace event with an explicit viewstamp (used where the
-    /// observation itself carries the authoritative one).
-    fn trace_with_vs(&mut self, vs: Option<Viewstamp>, kind: TraceKind) {
+    /// Record a trace event stamped with `vs` when the observation
+    /// carries its own viewstamp, else with this cohort's current one
+    /// (no-op unless the cluster enabled tracing).
+    fn trace(&mut self, kind: TraceKind, vs: Option<Viewstamp>) {
+        let Some(recorder) = &self.recorder else { return };
+        let vs = vs.or_else(|| self.cohort.history().latest());
         let tick = self.epoch.elapsed().as_millis() as u64;
-        let cohort = self.cohort.mid();
-        if let Some(recorder) = &mut self.recorder {
-            recorder.record(TraceEvent { tick, cohort, vs, kind });
-        }
+        recorder.record(TraceEvent { tick, cohort: self.cohort.mid(), vs, kind });
     }
 
     fn run(mut self) {
@@ -362,12 +352,9 @@ impl CohortThread {
                     match item {
                         Inbox::Msg { from, msg } => {
                             let now = self.now_ticks();
-                            let msg_name = msg.name();
-                            if matches!(msg, Message::Chunk { .. }) {
-                                self.metrics.lock().snapshot_chunks_received += 1;
-                            }
+                            let recv = self.metrics.lock().on_recv(from, &msg);
                             let effects = self.cohort.on_message(now, from, msg);
-                            self.trace(TraceKind::Recv { from, msg: msg_name });
+                            self.trace(recv, None);
                             self.apply(mid, effects);
                         }
                         Inbox::Request { req_id, ops, reply } => {
@@ -409,39 +396,10 @@ impl CohortThread {
             while self.timers.peek().is_some_and(|t| t.due <= now_instant) {
                 let entry = self.timers.pop().expect("invariant: peek returned Some");
                 let now = self.now_ticks();
-                // Same accounting rules as the simulator: heartbeats,
-                // buffer flushes, and lease housekeeping (the normal end
-                // of a grant's life, the scheduled view-change safety
-                // pause) are not protocol timeouts; a retry timer's
-                // resulting sends are retransmissions.
-                if !matches!(
-                    entry.timer,
-                    Timer::Heartbeat
-                        | Timer::BufferFlush
-                        | Timer::LeaseExpiry { .. }
-                        | Timer::LeaseWait { .. }
-                ) {
-                    self.metrics.lock().timeouts_fired += 1;
-                }
-                let is_retry = matches!(
-                    entry.timer,
-                    Timer::CallRetry { .. }
-                        | Timer::PrepareRetry { .. }
-                        | Timer::CommitRetry { .. }
-                        | Timer::ManagerRetry { .. }
-                        | Timer::AgentBeginRetry { .. }
-                        | Timer::AgentCallRetry { .. }
-                        | Timer::AgentCommitRetry { .. }
-                        | Timer::ChunkRetry { .. }
-                );
-                let timer_name = entry.timer.name();
-                let effects = self.cohort.on_timer(now, entry.timer);
-                if !effects.is_empty() {
-                    self.trace(TraceKind::Timer { timer: timer_name });
-                }
-                if is_retry {
-                    self.metrics.lock().retransmissions +=
-                        effects.iter().filter(|e| matches!(e, Effect::Send { .. })).count() as u64;
+                let effects = self.cohort.on_timer(now, entry.timer.clone());
+                let fired = self.metrics.lock().on_timer(&entry.timer, &effects);
+                if let Some(kind) = fired {
+                    self.trace(kind, None);
                 }
                 self.apply(mid, effects);
             }
@@ -496,7 +454,7 @@ impl CohortThread {
                 && match &effect {
                     Effect::Send { msg, .. } => !matches!(msg, Message::BufferSend { .. }),
                     Effect::TxnResult { .. } => true,
-                    _ => false,
+                    Effect::SetTimer { .. } | Effect::Persist(_) | Effect::Observe(_) => false,
                 }
             {
                 self.deferred.push((self.appended, effect));
@@ -504,24 +462,8 @@ impl CohortThread {
             }
             match effect {
                 Effect::Send { to, msg } => {
-                    let size = msg.wire_size() as u64;
-                    {
-                        let mut m = self.metrics.lock();
-                        *m.msgs.entry(msg.name()).or_default() += 1;
-                        *m.bytes.entry(msg.name()).or_default() += size;
-                        if msg.is_view_change() {
-                            m.view_change_msgs += 1;
-                        } else if msg.is_background() {
-                            m.background_msgs += 1;
-                        } else {
-                            m.foreground_msgs += 1;
-                            m.foreground_bytes += size;
-                        }
-                        if matches!(msg, Message::Chunk { .. }) {
-                            m.snapshot_chunks_sent += 1;
-                        }
-                    }
-                    self.trace(TraceKind::Send { to, msg: msg.name() });
+                    let sent = self.metrics.lock().on_send(to, &msg);
+                    self.trace(sent, None);
                     self.router.send(mid, to, msg);
                 }
                 Effect::SetTimer { after, timer } => {
@@ -541,7 +483,7 @@ impl CohortThread {
                 }
                 Effect::Persist(event) => {
                     if let Some(store) = &self.store {
-                        let (result, delta, pre_unsynced, post_unsynced) = {
+                        let (result, d, unsynced_before, unsynced_after) = {
                             let mut store = store.lock();
                             let before = store.metrics();
                             let pre = store.unsynced_records();
@@ -552,44 +494,20 @@ impl CohortThread {
                             self.fatal_store_error(err);
                             return;
                         }
-                        {
-                            let mut m = self.metrics.lock();
-                            m.disk_appends += delta.appends;
-                            m.disk_fsyncs += delta.fsyncs;
-                            m.disk_bytes_written += delta.bytes_written;
-                            m.checkpoints_taken += delta.checkpoints;
-                            // An fsync that covered previously deferred
-                            // records is a group commit, whether the
-                            // batch threshold or a cut-through event
-                            // (stable viewid, checkpoint) triggered it.
-                            if delta.fsyncs > 0 && pre_unsynced > 0 {
-                                m.group_fsyncs += delta.fsyncs;
-                                if delta.fsyncs > 1 {
-                                    // Two fsyncs (a checkpoint: rotate's
-                                    // covering sync, then the checkpoint
-                                    // sync) split the batch between them
-                                    // — rotate retired the pre-existing
-                                    // frames, the second sync this
-                                    // persist's own appends.
-                                    m.records_per_fsync.record(pre_unsynced);
-                                    m.records_per_fsync.record(delta.appends);
-                                } else {
-                                    // One fsync; frames still unsynced
-                                    // after it (an append following a
-                                    // size-triggered rotate) were not
-                                    // covered by it.
-                                    m.records_per_fsync.record(
-                                        (pre_unsynced + delta.appends)
-                                            .saturating_sub(post_unsynced),
-                                    );
-                                }
-                            }
-                        }
+                        let delta = PersistDelta {
+                            appends: d.appends,
+                            fsyncs: d.fsyncs,
+                            bytes_written: d.bytes_written,
+                            checkpoints: d.checkpoints,
+                            unsynced_before,
+                            unsynced_after,
+                        };
+                        let appended = self.metrics.lock().on_persist(&delta);
                         self.appended += delta.appends;
-                        if delta.appends > 0 {
-                            self.trace(TraceKind::DiskAppend { bytes: delta.bytes_written });
+                        if let Some(kind) = appended {
+                            self.trace(kind, None);
                         }
-                        if post_unsynced > 0 {
+                        if unsynced_after > 0 {
                             self.dirty_since.get_or_insert_with(Instant::now);
                         } else {
                             // The store synced inline (cut-through
@@ -602,79 +520,23 @@ impl CohortThread {
                     }
                 }
                 Effect::Observe(obs) => {
-                    match &obs {
-                        Observation::ViewChanged { is_primary, .. } => {
-                            if *is_primary {
-                                self.metrics.lock().view_formations += 1;
-                            }
-                            // Wake submitters stuck waiting for a
-                            // primary: the view just (re)formed.
-                            self.progress.bump();
-                        }
-                        Observation::ViewChangeStarted { .. } => {
-                            self.metrics.lock().view_change_attempts += 1;
-                        }
-                        Observation::PrepareProcessed { waited, .. } => {
-                            let mut m = self.metrics.lock();
-                            if *waited {
-                                m.prepares_waited += 1;
-                            } else {
-                                m.prepares_fast += 1;
-                            }
-                        }
-                        Observation::ForceAbandoned { .. } => {
-                            self.metrics.lock().forces_abandoned += 1;
-                        }
-                        Observation::StatusChanged { from, to, .. } => {
-                            self.trace(TraceKind::ViewState { from: from.name(), to: to.name() });
-                        }
-                        Observation::ForceBegan { vs, .. } => {
-                            self.trace_with_vs(Some(*vs), TraceKind::ForceBegin);
-                        }
-                        Observation::ForceFired { vs, fired, .. } => {
-                            self.trace_with_vs(Some(*vs), TraceKind::ForceFire { fired: *fired });
-                        }
-                        Observation::BufferFlushed { clones_saved, .. } => {
-                            self.metrics.lock().buffer_clones_saved += *clones_saved;
-                        }
-                        Observation::SnapshotTaken { .. } => {
-                            self.metrics.lock().snapshots_taken += 1;
-                        }
-                        Observation::SnapshotInstalled { ticks, .. } => {
-                            let mut m = self.metrics.lock();
-                            m.snapshots_installed += 1;
-                            m.transfer_ticks.record(*ticks);
-                        }
-                        Observation::ChunkCorruptDropped { .. } => {
-                            self.metrics.lock().snapshot_chunks_corrupt += 1;
-                        }
-                        Observation::ChunkRetried { .. } => {
-                            self.metrics.lock().snapshot_chunk_retries += 1;
-                        }
-                        Observation::StatusesGced { n, .. } => {
-                            self.metrics.lock().statuses_gced += *n;
-                        }
-                        Observation::LeasedRead { req_id, .. } => {
-                            let mut m = self.metrics.lock();
-                            m.leased_reads += 1;
+                    let observed = {
+                        let mut m = self.metrics.lock();
+                        let observed = m.on_observation(&obs);
+                        if let Observation::LeasedRead { req_id, .. } = &obs {
                             if let Some(t0) = self.req_t0.get(req_id) {
                                 m.lease_read_ticks.record(t0.elapsed().as_micros() as u64);
                             }
                         }
-                        Observation::LeaseRenewed { .. } => {
-                            self.metrics.lock().lease_renewals += 1;
-                        }
-                        Observation::LeaseReadRejected { .. } => {
-                            self.metrics.lock().lease_read_rejected += 1;
-                        }
-                        Observation::LeaseWaitStarted { .. } => {
-                            self.metrics.lock().lease_waits_on_view_change += 1;
-                        }
-                        Observation::TxnCommitted { .. } | Observation::TxnAborted { .. } => {
-                            // Client-visible outcomes are counted once,
-                            // in `Cluster::submit`, matching the sim's
-                            // client-side accounting.
-                        }
+                        observed
+                    };
+                    if let Some((kind, vs)) = observed {
+                        self.trace(kind, vs);
+                    }
+                    if matches!(obs, Observation::ViewChanged { .. }) {
+                        // Wake submitters stuck waiting for a primary:
+                        // the view just (re)formed.
+                        self.progress.bump();
                     }
                     if let Some(tx) = &self.observations {
                         // Best-effort telemetry: a full drain evicts its
@@ -715,22 +577,17 @@ impl CohortThread {
             self.dirty_since = None;
             return;
         };
-        let (result, covered, delta) = {
+        let (result, covered, synced) = {
             let mut store = store.lock();
             let covered = store.unsynced_records();
-            let before = store.metrics();
+            let before = store.metrics().fsyncs;
             let result = store.flush();
-            (result, covered, store.metrics().since(&before))
+            (result, covered, store.metrics().fsyncs > before)
         };
         match result {
             Ok(()) => {
-                {
-                    let mut m = self.metrics.lock();
-                    m.disk_fsyncs += delta.fsyncs;
-                    if delta.fsyncs > 0 && covered > 0 {
-                        m.group_fsyncs += delta.fsyncs;
-                        m.records_per_fsync.record(covered);
-                    }
+                if synced {
+                    self.metrics.lock().on_sync(covered);
                 }
                 self.dirty_since = None;
                 self.advance_synced(mid, self.appended);
@@ -747,19 +604,7 @@ impl CohortThread {
         if self.store_failed {
             return;
         }
-        {
-            let mut m = self.metrics.lock();
-            m.disk_fsyncs += 1;
-            // `covered == 0` means an inline cut-through raced the
-            // flusher's fsync and already retired (and accounted)
-            // these frames: the completion still advances the
-            // watermark, but crediting it as a group commit too would
-            // inflate the records/fsync numbers A6 reports.
-            if covered > 0 {
-                m.group_fsyncs += 1;
-                m.records_per_fsync.record(covered);
-            }
-        }
+        self.metrics.lock().on_sync(covered);
         if upto >= self.appended {
             self.dirty_since = None;
         }

@@ -36,7 +36,6 @@
 #![warn(missing_debug_implementations)]
 
 pub mod fault;
-pub mod metrics;
 pub mod nemesis;
 pub mod serializability;
 pub mod trace;

@@ -2,8 +2,8 @@
 //! timeline, and summarize a run — the first tool to reach for when a
 //! seed misbehaves.
 
-use crate::metrics::Metrics;
 use vsr_core::cohort::Observation;
+use vsr_obs::Metrics;
 
 /// Render observations as a chronological timeline, one line per event.
 ///
@@ -106,19 +106,6 @@ pub fn view_timeline(observations: &[(u64, Observation)]) -> String {
         .cloned()
         .collect();
     timeline(&filtered)
-}
-
-/// Render a recorded message trace (from
-/// [`World::message_trace`](crate::world::World::message_trace)) as one
-/// line per send.
-pub fn render_messages(
-    trace: &[(u64, vsr_core::types::Mid, vsr_core::types::Mid, &str)],
-) -> String {
-    let mut out = String::new();
-    for (t, from, to, name) in trace {
-        out.push_str(&format!("t={t:>8}  {from} -> {to}  {name}\n"));
-    }
-    out
 }
 
 /// A one-paragraph run summary from the collected metrics.
@@ -227,37 +214,5 @@ mod tests {
     fn empty_inputs_render_empty() {
         assert_eq!(timeline(&[]), "");
         assert!(!summarize(&Metrics::default()).is_empty());
-    }
-
-    #[test]
-    fn message_trace_renders() {
-        let trace = vec![(5u64, Mid(1), Mid(2), "call"), (9, Mid(2), Mid(1), "call-reply")];
-        let rendered = render_messages(&trace);
-        assert!(rendered.contains("m1 -> m2  call"));
-        assert!(rendered.contains("m2 -> m1  call-reply"));
-        assert_eq!(rendered.lines().count(), 2);
-    }
-
-    #[test]
-    fn world_message_trace_is_ring_buffered() {
-        use vsr_app::counter;
-        use vsr_core::module::NullModule;
-        use vsr_sim_test_helpers::*;
-        // Build a tiny world inline.
-        let mut world = crate::world::WorldBuilder::new(1)
-            .group(GroupId(1), &[Mid(10)], || Box::new(NullModule))
-            .group(GroupId(2), &[Mid(1), Mid(2), Mid(3)], || Box::new(counter::CounterModule))
-            .build();
-        world.enable_message_trace(16);
-        world.submit(GroupId(1), vec![counter::incr(GroupId(2), 0, 1)]);
-        world.run_for(1_000);
-        let trace = world.message_trace();
-        assert!(trace.len() <= 16, "ring buffer capacity respected");
-        assert!(!trace.is_empty());
-        assert!(!render_messages(&trace).is_empty());
-    }
-
-    mod vsr_sim_test_helpers {
-        pub use vsr_core::types::{GroupId, Mid};
     }
 }

@@ -2,7 +2,6 @@
 //! deterministic [`SimNet`], executes their effects, injects workloads
 //! and faults, and collects metrics and observations.
 
-use crate::metrics::Metrics;
 use std::collections::{BTreeMap, BTreeSet};
 use std::rc::Rc;
 use vsr_core::agent::ClientAgent;
@@ -17,7 +16,7 @@ use vsr_core::module::Module;
 use vsr_core::types::Viewstamp;
 use vsr_core::types::{Aid, GroupId, Mid, ViewId};
 use vsr_core::view::Configuration;
-use vsr_obs::{Recorder, SharedRecorder, TraceEvent, TraceKind};
+use vsr_obs::{Metrics, PersistDelta, SharedRecorder, TraceEvent, TraceKind};
 use vsr_simnet::net::{Event, NetConfig, NetStats, SimNet};
 use vsr_store::{FsyncPolicy, SimDisk, Store};
 
@@ -156,7 +155,6 @@ impl WorldBuilder {
             next_control: 0,
             delivered_to: BTreeMap::new(),
             corrupt_chunks_budget: 0,
-            message_trace: None,
             recorder: None,
         };
         for spec in &self.groups {
@@ -252,15 +250,10 @@ pub struct World {
     /// Nemesis budget: how many of the next in-flight snapshot chunks
     /// to corrupt at delivery (one flipped payload byte each).
     corrupt_chunks_budget: u32,
-    /// Optional message trace: ring buffer of the most recent sends.
-    message_trace: Option<(usize, std::collections::VecDeque<TraceEntry>)>,
     /// Optional structured trace recorder (see `vsr-obs`). `None` means
     /// tracing is off and event capture costs nothing.
-    recorder: Option<Box<dyn Recorder>>,
+    recorder: Option<SharedRecorder>,
 }
-
-/// One traced send: `(time, from, to, message name)`.
-type TraceEntry = (u64, Mid, Mid, &'static str);
 
 impl std::fmt::Debug for World {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
@@ -299,37 +292,22 @@ impl World {
     // structured tracing
     // ------------------------------------------------------------------
 
-    /// Install a structured trace recorder. Every send, delivery, timer
-    /// fire, force begin/fire, view-state transition, and disk append
-    /// is recorded from now on.
-    pub fn install_recorder(&mut self, recorder: Box<dyn Recorder>) {
-        self.recorder = Some(recorder);
-    }
-
-    /// Convenience: install a [`SharedRecorder`] and return a handle to
-    /// drain the captured events from.
+    /// Install a structured trace recorder and return a handle to drain
+    /// the captured events from. Every send, delivery, timer fire,
+    /// force begin/fire, view-state transition, and disk append is
+    /// recorded from now on.
     pub fn enable_tracing(&mut self) -> SharedRecorder {
         let handle = SharedRecorder::new();
-        self.install_recorder(Box::new(handle.clone()));
+        self.recorder = Some(handle.clone());
         handle
     }
 
-    /// Record a trace event stamped with `cohort`'s current viewstamp.
-    fn trace(&mut self, cohort: Mid, kind: TraceKind) {
-        if self.recorder.is_none() {
-            return;
-        }
-        let vs = self.cohorts.get(&cohort).and_then(|c| c.history().latest());
-        self.trace_with_vs(cohort, vs, kind);
-    }
-
-    /// Record a trace event with an explicit viewstamp (used where the
-    /// observation itself carries the authoritative one).
-    fn trace_with_vs(&mut self, cohort: Mid, vs: Option<Viewstamp>, kind: TraceKind) {
-        let now = self.net.now();
-        if let Some(recorder) = self.recorder.as_mut() {
-            recorder.record(TraceEvent { tick: now, cohort, vs, kind });
-        }
+    /// Record a trace event stamped with `vs` when the observation
+    /// carries its own viewstamp, else with `cohort`'s current one.
+    fn trace(&mut self, cohort: Mid, kind: TraceKind, vs: Option<Viewstamp>) {
+        let Some(recorder) = &self.recorder else { return };
+        let vs = vs.or_else(|| self.cohorts.get(&cohort).and_then(|c| c.history().latest()));
+        recorder.record(TraceEvent { tick: self.net.now(), cohort, vs, kind });
     }
 
     /// Run one handler pass on a cohort: the call is wrapped in
@@ -368,22 +346,20 @@ impl World {
                     }
                     other => other,
                 };
-                let msg_name = msg.name();
                 if let Some(cohort) = self.cohorts.get_mut(&to) {
                     // Heartbeats are constant-rate background noise;
                     // exclude them from per-node load accounting.
                     if !matches!(msg, Message::ImAlive { .. }) {
                         *self.delivered_to.entry(to).or_default() += 1;
                     }
-                    if matches!(msg, Message::Chunk { .. }) {
-                        self.metrics.snapshot_chunks_received += 1;
-                    }
+                    let recv = self.metrics.on_recv(from, &msg);
                     let effects = Self::cohort_pass(cohort, |c| c.on_message(now, from, msg));
-                    self.trace(to, TraceKind::Recv { from, msg: msg_name });
+                    self.trace(to, recv, None);
                     self.apply_effects(to, effects);
                 } else if let Some(agent) = self.agents.get_mut(&to) {
+                    let recv = self.metrics.on_recv(from, &msg);
                     let effects = agent.on_message(now, from, msg);
-                    self.trace(to, TraceKind::Recv { from, msg: msg_name });
+                    self.trace(to, recv, None);
                     self.apply_effects(to, effects);
                 }
             }
@@ -392,50 +368,21 @@ impl World {
                 if self.crashed.contains_key(&mid) {
                     return true;
                 }
-                // Periodic ticks and lease housekeeping are not protocol
-                // timeouts: a lease expiry is the *normal* end of a
-                // grant's life, and the lease wait is a scheduled safety
-                // pause, not a lost-message detection.
-                if !matches!(
-                    timer,
-                    Timer::Heartbeat
-                        | Timer::BufferFlush
-                        | Timer::LeaseExpiry { .. }
-                        | Timer::LeaseWait { .. }
-                ) {
-                    self.metrics.timeouts_fired += 1;
-                }
-                let is_retry = matches!(
-                    timer,
-                    Timer::CallRetry { .. }
-                        | Timer::PrepareRetry { .. }
-                        | Timer::CommitRetry { .. }
-                        | Timer::ManagerRetry { .. }
-                        | Timer::AgentBeginRetry { .. }
-                        | Timer::AgentCallRetry { .. }
-                        | Timer::AgentCommitRetry { .. }
-                        | Timer::ChunkRetry { .. }
-                );
-                let timer_name = timer.name();
                 let effects = if let Some(cohort) = self.cohorts.get_mut(&mid) {
-                    Self::cohort_pass(cohort, |c| c.on_timer(now, timer))
+                    Self::cohort_pass(cohort, |c| c.on_timer(now, timer.clone()))
                 } else if let Some(agent) = self.agents.get_mut(&mid) {
-                    agent.on_timer(now, timer)
+                    agent.on_timer(now, timer.clone())
                 } else {
                     Vec::new()
                 };
-                if !effects.is_empty() {
-                    self.trace(mid, TraceKind::Timer { timer: timer_name });
-                }
-                if is_retry {
-                    self.metrics.retransmissions +=
-                        effects.iter().filter(|e| matches!(e, Effect::Send { .. })).count() as u64;
+                if let Some(kind) = self.metrics.on_timer(&timer, &effects) {
+                    self.trace(mid, kind, None);
                 }
                 self.apply_effects(mid, effects);
             }
             Event::Control { id } => {
                 if let Some(control) = self.controls.remove(&id) {
-                    self.run_control(now, control);
+                    self.run_control(control);
                 }
             }
         }
@@ -472,13 +419,19 @@ impl World {
         let req_id = self.next_req;
         self.next_req += 1;
         self.scripts.insert(req_id, ops.clone());
-        self.submitted_at.insert(req_id, self.now());
+        self.dispatch_submit(req_id, client_group, ops);
+        req_id
+    }
+
+    /// Hand request `req_id` to the current primary of `group` (or any
+    /// live member) now.
+    fn dispatch_submit(&mut self, req_id: u64, group: GroupId, ops: Vec<CallOp>) {
+        let now = self.now();
+        self.submitted_at.insert(req_id, now);
         self.metrics.submitted += 1;
-        let target = self.primary_of(client_group).or_else(|| self.any_live(client_group));
-        match target {
+        match self.primary_of(group).or_else(|| self.any_live(group)) {
             Some(mid) => {
                 self.submit_target.insert(req_id, mid);
-                let now = self.now();
                 let cohort = self.cohorts.get_mut(&mid).expect("target exists");
                 let effects = Self::cohort_pass(cohort, |c| c.begin_transaction(now, req_id, ops));
                 // The pipelining depth this submission reached, sampled
@@ -497,7 +450,6 @@ impl World {
                 );
             }
         }
-        req_id
     }
 
     /// Submit a transaction through an unreplicated client agent
@@ -776,7 +728,7 @@ impl World {
         self.net.schedule_control(at, id);
     }
 
-    fn run_control(&mut self, now: u64, control: Control) {
+    fn run_control(&mut self, control: Control) {
         match control {
             Control::Crash(mid) => self.crash(mid),
             Control::CrashDiskLoss(mid) => self.crash_disk_loss(mid),
@@ -801,27 +753,7 @@ impl World {
             }
             Control::ClearDropClasses => self.clear_class_drop(),
             Control::CorruptChunks(n) => self.corrupt_chunks(n),
-            Control::Submit { group, ops, req_id } => {
-                self.submitted_at.insert(req_id, now);
-                self.metrics.submitted += 1;
-                let target = self.primary_of(group).or_else(|| self.any_live(group));
-                match target {
-                    Some(mid) => {
-                        self.submit_target.insert(req_id, mid);
-                        let cohort = self.cohorts.get_mut(&mid).expect("target exists");
-                        let effects =
-                            Self::cohort_pass(cohort, |c| c.begin_transaction(now, req_id, ops));
-                        let inflight = cohort.inflight_txns() as u64;
-                        self.metrics.inflight_txns.record(inflight);
-                        self.apply_effects(mid, effects);
-                    }
-                    None => self.record_result(
-                        req_id,
-                        None,
-                        TxnOutcome::Aborted { reason: vsr_core::cohort::AbortReason::NotPrimary },
-                    ),
-                }
-            }
+            Control::Submit { group, ops, req_id } => self.dispatch_submit(req_id, group, ops),
         }
     }
 
@@ -833,27 +765,9 @@ impl World {
         for effect in effects {
             match effect {
                 Effect::Send { to, msg } => {
+                    let kind = self.metrics.on_send(to, &msg);
+                    self.trace(mid, kind, None);
                     let size = msg.wire_size();
-                    if let Some((cap, trace)) = &mut self.message_trace {
-                        if trace.len() == *cap {
-                            trace.pop_front();
-                        }
-                        trace.push_back((self.net.now(), mid, to, msg.name()));
-                    }
-                    self.trace(mid, TraceKind::Send { to, msg: msg.name() });
-                    *self.metrics.msgs.entry(msg.name()).or_default() += 1;
-                    *self.metrics.bytes.entry(msg.name()).or_default() += size as u64;
-                    if msg.is_view_change() {
-                        self.metrics.view_change_msgs += 1;
-                    } else if msg.is_background() {
-                        self.metrics.background_msgs += 1;
-                    } else {
-                        self.metrics.foreground_msgs += 1;
-                        self.metrics.foreground_bytes += size as u64;
-                    }
-                    if matches!(msg, Message::Chunk { .. }) {
-                        self.metrics.snapshot_chunks_sent += 1;
-                    }
                     self.net.send_dup(mid.0, to.0, msg, size);
                 }
                 Effect::SetTimer { after, timer } => {
@@ -868,97 +782,32 @@ impl World {
                     // paper's no-disk design.
                     if let Some(disk) = self.disks.get_mut(&mid) {
                         let before = disk.metrics();
-                        let pre_unsynced = disk.unsynced_records();
+                        let unsynced_before = disk.unsynced_records();
                         disk.persist(&event).expect(
                             "invariant: the world never arms sync-failure injection on its disks",
                         );
-                        let delta = disk.metrics().since(&before);
-                        self.metrics.disk_appends += delta.appends;
-                        self.metrics.disk_fsyncs += delta.fsyncs;
-                        self.metrics.disk_bytes_written += delta.bytes_written;
-                        self.metrics.checkpoints_taken += delta.checkpoints;
-                        // An fsync that covered previously deferred
-                        // records is a group commit (batch threshold
-                        // reached, or a cut-through event) — the same
-                        // accounting rule the runtime applies.
-                        if delta.fsyncs > 0 && pre_unsynced > 0 {
-                            self.metrics.group_fsyncs += delta.fsyncs;
-                            self.metrics.records_per_fsync.record(pre_unsynced + delta.appends);
-                        }
-                        if delta.appends > 0 {
-                            self.trace(mid, TraceKind::DiskAppend { bytes: delta.bytes_written });
+                        let d = disk.metrics().since(&before);
+                        let delta = PersistDelta {
+                            appends: d.appends,
+                            fsyncs: d.fsyncs,
+                            bytes_written: d.bytes_written,
+                            checkpoints: d.checkpoints,
+                            unsynced_before,
+                            unsynced_after: disk.unsynced_records(),
+                        };
+                        if let Some(kind) = self.metrics.on_persist(&delta) {
+                            self.trace(mid, kind, None);
                         }
                     }
                 }
                 Effect::Observe(observation) => {
-                    match &observation {
-                        Observation::ViewChanged { is_primary: true, .. } => {
-                            self.metrics.view_formations += 1;
+                    if let Some((kind, vs)) = self.metrics.on_observation(&observation) {
+                        self.trace(mid, kind, vs);
+                    }
+                    if let Observation::LeasedRead { req_id, .. } = &observation {
+                        if let Some(&t0) = self.submitted_at.get(req_id) {
+                            self.metrics.lease_read_ticks.record(self.net.now() - t0);
                         }
-                        Observation::PrepareProcessed { waited, .. } => {
-                            if *waited {
-                                self.metrics.prepares_waited += 1;
-                            } else {
-                                self.metrics.prepares_fast += 1;
-                            }
-                        }
-                        Observation::ForceAbandoned { .. } => {
-                            self.metrics.forces_abandoned += 1;
-                        }
-                        Observation::ViewChangeStarted { .. } => {
-                            self.metrics.view_change_attempts += 1;
-                        }
-                        Observation::StatusChanged { from, to, .. } => {
-                            self.trace(
-                                mid,
-                                TraceKind::ViewState { from: from.name(), to: to.name() },
-                            );
-                        }
-                        Observation::ForceBegan { vs, .. } => {
-                            self.trace_with_vs(mid, Some(*vs), TraceKind::ForceBegin);
-                        }
-                        Observation::ForceFired { vs, fired, .. } => {
-                            self.trace_with_vs(
-                                mid,
-                                Some(*vs),
-                                TraceKind::ForceFire { fired: *fired },
-                            );
-                        }
-                        Observation::BufferFlushed { clones_saved, .. } => {
-                            self.metrics.buffer_clones_saved += clones_saved;
-                        }
-                        Observation::SnapshotTaken { .. } => {
-                            self.metrics.snapshots_taken += 1;
-                        }
-                        Observation::SnapshotInstalled { ticks, .. } => {
-                            self.metrics.snapshots_installed += 1;
-                            self.metrics.transfer_ticks.record(*ticks);
-                        }
-                        Observation::ChunkCorruptDropped { .. } => {
-                            self.metrics.snapshot_chunks_corrupt += 1;
-                        }
-                        Observation::ChunkRetried { .. } => {
-                            self.metrics.snapshot_chunk_retries += 1;
-                        }
-                        Observation::StatusesGced { n, .. } => {
-                            self.metrics.statuses_gced += n;
-                        }
-                        Observation::LeasedRead { req_id, .. } => {
-                            self.metrics.leased_reads += 1;
-                            if let Some(&t0) = self.submitted_at.get(req_id) {
-                                self.metrics.lease_read_ticks.record(self.net.now() - t0);
-                            }
-                        }
-                        Observation::LeaseRenewed { .. } => {
-                            self.metrics.lease_renewals += 1;
-                        }
-                        Observation::LeaseReadRejected { .. } => {
-                            self.metrics.lease_read_rejected += 1;
-                        }
-                        Observation::LeaseWaitStarted { .. } => {
-                            self.metrics.lease_waits_on_view_change += 1;
-                        }
-                        _ => {}
                     }
                     self.observations.push((self.net.now(), observation));
                 }
@@ -987,13 +836,10 @@ impl World {
         if covered == 0 {
             return;
         }
-        let before = disk.metrics();
+        let before = disk.metrics().fsyncs;
         disk.flush().expect("invariant: the world never arms sync-failure injection on its disks");
-        let delta = disk.metrics().since(&before);
-        self.metrics.disk_fsyncs += delta.fsyncs;
-        if delta.fsyncs > 0 {
-            self.metrics.group_fsyncs += delta.fsyncs;
-            self.metrics.records_per_fsync.record(covered);
+        if disk.metrics().fsyncs > before {
+            self.metrics.on_sync(covered);
         }
     }
 
@@ -1085,19 +931,6 @@ impl World {
     /// the primary-bottleneck experiment E7).
     pub fn delivered_to(&self, mid: Mid) -> u64 {
         self.delivered_to.get(&mid).copied().unwrap_or(0)
-    }
-
-    /// Start recording the last `capacity` message sends (time, from,
-    /// to, message name) for forensics; see
-    /// [`message_trace`](Self::message_trace).
-    pub fn enable_message_trace(&mut self, capacity: usize) {
-        self.message_trace = Some((capacity.max(1), std::collections::VecDeque::new()));
-    }
-
-    /// The recorded message trace (empty unless
-    /// [`enable_message_trace`](Self::enable_message_trace) was called).
-    pub fn message_trace(&self) -> Vec<(u64, Mid, Mid, &'static str)> {
-        self.message_trace.as_ref().map(|(_, t)| t.iter().copied().collect()).unwrap_or_default()
     }
 
     /// Inspect a cohort (panics if the mid is unknown).
