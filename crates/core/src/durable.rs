@@ -29,9 +29,11 @@
 //! `complete = false`, which recovers with the paper's crash-acceptance
 //! (viewid only).
 
+use crate::cohort::Effect;
 use crate::event::EventRecord;
 use crate::gstate::GroupState;
 use crate::history::History;
+use crate::messages::Message;
 use crate::types::ViewId;
 use crate::view::View;
 
@@ -111,6 +113,87 @@ impl RecoveredState {
     }
 }
 
+/// Group commit's acknowledgement gate: the group form of the forced
+/// write of Section 3.7. A store that leaves appended records unsynced
+/// (and promises a covering sync for them) must not let the cohort
+/// assert their durability before that sync: every acknowledgement,
+/// vote, acceptance and client outcome emitted while records are
+/// unsynced is parked here, stamped with the append count at that
+/// moment, and released in order once a sync covers its stamp.
+///
+/// `BufferSend` passes: replication traffic promises nothing (only the
+/// backup's acknowledgement, sent after *its* covering sync, counts
+/// toward the sub-majority), so shipping records early overlaps the
+/// primary's sync with the backups'. Timers, observations and persists
+/// never wait.
+///
+/// The gate is sans-I/O: the harness reports appends and completed
+/// syncs, and executes whatever the gate hands back. Released effects
+/// are final — they are executed directly, never admitted again.
+#[derive(Debug)]
+pub struct DurabilityGate {
+    /// Records appended to the log so far.
+    appended: u64,
+    /// Records known to be synced.
+    synced: u64,
+    /// Parked effects with their stamps, nondecreasing.
+    parked: Vec<(u64, Effect)>,
+}
+
+impl DurabilityGate {
+    /// A gate over a log holding `appended` records, the last
+    /// `unsynced` of which await a sync.
+    pub fn new(appended: u64, unsynced: u64) -> Self {
+        DurabilityGate { appended, synced: appended.saturating_sub(unsynced), parked: Vec::new() }
+    }
+
+    /// Hand `effect` back if it may be executed now, or park it until
+    /// the records appended so far are synced.
+    pub fn admit(&mut self, effect: Effect) -> Option<Effect> {
+        let asserts_durability = match &effect {
+            Effect::Send { msg, .. } => !matches!(msg, Message::BufferSend { .. }),
+            Effect::TxnResult { .. } => true,
+            Effect::SetTimer { .. } | Effect::Persist(_) | Effect::Observe(_) => false,
+        };
+        if asserts_durability && self.is_dirty() {
+            self.parked.push((self.appended, effect));
+            return None;
+        }
+        Some(effect)
+    }
+
+    /// A persist appended `appends` records and left `unsynced` records
+    /// unsynced in the store. When nothing is left unsynced the store
+    /// synced inline, so everything parked is released, in order.
+    pub fn persisted(&mut self, appends: u64, unsynced: u64) -> Vec<Effect> {
+        self.appended += appends;
+        if unsynced > 0 {
+            return Vec::new();
+        }
+        self.synced(self.appended)
+    }
+
+    /// A sync made every record up to the append count `upto` durable.
+    /// Returns the parked prefix it covers, in order. A superseded
+    /// completion (`upto` at or below the watermark) releases nothing
+    /// and never moves the watermark back.
+    pub fn synced(&mut self, upto: u64) -> Vec<Effect> {
+        self.synced = self.synced.max(upto);
+        let n = self.parked.partition_point(|(stamp, _)| *stamp <= self.synced);
+        self.parked.drain(..n).map(|(_, effect)| effect).collect()
+    }
+
+    /// Records appended so far (the `upto` of a sync covering them all).
+    pub fn appended(&self) -> u64 {
+        self.appended
+    }
+
+    /// Whether some appended record still awaits its covering sync.
+    pub fn is_dirty(&self) -> bool {
+        self.appended > self.synced
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -123,6 +206,107 @@ mod tests {
         assert!(rs.checkpoint.is_none());
         assert!(rs.tail.is_empty());
         assert_eq!(rs.stable_viewid, ViewId::initial(Mid(3)));
+    }
+
+    fn reply(req_id: u64) -> Effect {
+        Effect::TxnResult { req_id, aid: None, outcome: crate::cohort::TxnOutcome::Unresolved }
+    }
+
+    fn ack() -> Effect {
+        Effect::Send {
+            to: Mid(1),
+            msg: Message::ImAlive { from: Mid(2), viewid: ViewId::initial(Mid(1)) },
+        }
+    }
+
+    fn buffer_send() -> Effect {
+        Effect::Send {
+            to: Mid(2),
+            msg: Message::BufferSend {
+                viewid: ViewId::initial(Mid(1)),
+                from: Mid(1),
+                records: Vec::new().into(),
+            },
+        }
+    }
+
+    #[test]
+    fn clean_gate_passes_everything() {
+        let mut gate = DurabilityGate::new(5, 0);
+        for effect in [reply(1), ack(), buffer_send(), Effect::Persist(DurableEvent::Sync)] {
+            assert_eq!(gate.admit(effect.clone()), Some(effect));
+        }
+    }
+
+    #[test]
+    fn non_asserting_effects_never_wait() {
+        let mut gate = DurabilityGate::new(0, 0);
+        assert!(gate.persisted(1, 1).is_empty());
+        assert!(gate.is_dirty());
+        for effect in [
+            buffer_send(),
+            Effect::SetTimer { after: 5, timer: crate::cohort::Timer::Heartbeat },
+            Effect::Observe(crate::cohort::Observation::ViewChangeStarted {
+                group: crate::types::GroupId(1),
+                mid: Mid(1),
+                viewid: ViewId::initial(Mid(1)),
+            }),
+            Effect::Persist(DurableEvent::Sync),
+        ] {
+            assert_eq!(gate.admit(effect.clone()), Some(effect));
+        }
+    }
+
+    #[test]
+    fn released_effects_form_an_ordered_prefix() {
+        let mut gate = DurabilityGate::new(0, 0);
+        assert!(gate.persisted(1, 1).is_empty());
+        assert_eq!(gate.admit(reply(1)), None);
+        assert_eq!(gate.admit(ack()), None);
+        assert!(gate.persisted(2, 3).is_empty());
+        assert_eq!(gate.admit(reply(2)), None);
+        assert_eq!(gate.synced(1), vec![reply(1), ack()]);
+        assert!(gate.is_dirty());
+        assert_eq!(gate.synced(3), vec![reply(2)]);
+        assert!(!gate.is_dirty());
+    }
+
+    #[test]
+    fn released_batch_is_not_parked_again_while_newer_appends_are_dirty() {
+        let mut gate = DurabilityGate::new(0, 0);
+        assert!(gate.persisted(1, 1).is_empty());
+        assert_eq!(gate.admit(reply(1)), None);
+        // A newer record is appended while the first one's sync is in
+        // flight; its completion still releases the first reply.
+        assert!(gate.persisted(1, 2).is_empty());
+        assert_eq!(gate.synced(1), vec![reply(1)]);
+        assert!(gate.is_dirty(), "the newer record still awaits its sync");
+        assert_eq!(gate.admit(reply(2)), None, "new replies keep waiting");
+        assert_eq!(gate.synced(2), vec![reply(2)]);
+    }
+
+    #[test]
+    fn persist_leaving_nothing_unsynced_releases_everything() {
+        let mut gate = DurabilityGate::new(4, 2);
+        assert_eq!(gate.admit(reply(1)), None);
+        assert!(gate.persisted(1, 3).is_empty());
+        assert_eq!(gate.admit(ack()), None);
+        assert_eq!(gate.persisted(1, 0), vec![reply(1), ack()]);
+        assert!(!gate.is_dirty());
+        assert_eq!(gate.admit(reply(2)), Some(reply(2)));
+    }
+
+    #[test]
+    fn superseded_completion_releases_nothing() {
+        let mut gate = DurabilityGate::new(0, 0);
+        assert!(gate.persisted(3, 3).is_empty());
+        assert!(gate.synced(2).is_empty(), "nothing parked yet");
+        assert_eq!(gate.admit(reply(1)), None);
+        assert!(gate.synced(1).is_empty(), "a stale completion does not release");
+        assert!(gate.synced(2).is_empty(), "nor does a repeated one");
+        assert_eq!(gate.synced(3), vec![reply(1)]);
+        assert!(gate.synced(1).is_empty());
+        assert!(!gate.is_dirty(), "the watermark never moves back");
     }
 
     #[test]

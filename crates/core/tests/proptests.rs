@@ -3,10 +3,13 @@
 
 use proptest::prelude::*;
 use vsr_core::buffer::CommBuffer;
+use vsr_core::cohort::{Effect, Timer, TxnOutcome};
+use vsr_core::durable::{DurabilityGate, DurableEvent};
 use vsr_core::event::EventKind;
 use vsr_core::gstate::{CompletedCall, GroupState, LockMode, ObjectAccess, Value};
 use vsr_core::history::History;
 use vsr_core::locks::LockTable;
+use vsr_core::messages::Message;
 use vsr_core::pset::PSet;
 use vsr_core::types::{Aid, CallId, GroupId, Mid, ObjectId, Timestamp, ViewId, Viewstamp};
 
@@ -346,5 +349,85 @@ proptest! {
                 None => prop_assert!(g.object(ObjectId(obj)).is_none()),
             }
         }
+    }
+
+    // ------------------------------------------------- durability gate
+
+    /// Over random persist / admit / sync scripts, no effect asserting
+    /// durability leaves the gate with a stamp above what the store has
+    /// synced, such effects leave in the order they were admitted,
+    /// others never wait, and a sync covering every append empties the
+    /// gate. Op codes: 0 persists `n` records (synced inline when the
+    /// flag is set); 1 admits an effect of kind `n`; 2 completes a sync
+    /// that leaves the last `n` records unsynced; 3 is such a sync
+    /// whose completion never reaches the gate.
+    #[test]
+    fn durability_gate_releases_only_covered_effects_in_order(
+        ops in prop::collection::vec((0u64..4, 0u64..4, prop::bool::ANY), 1..80),
+    ) {
+        let mut gate = DurabilityGate::new(0, 0);
+        // The store's truth: records appended, and how many of the
+        // newest are unsynced.
+        let (mut appended, mut unsynced) = (0u64, 0u64);
+        // Admission stamp of each asserting effect, keyed by request id.
+        let mut stamps = Vec::new();
+        let mut out = Vec::new();
+        // Check and record the asserting effects that left the gate.
+        let leave = |effects: Vec<Effect>,
+                     synced: u64,
+                     out: &mut Vec<u64>,
+                     stamps: &[u64]|
+         -> Result<(), TestCaseError> {
+            for effect in effects {
+                if let Effect::TxnResult { req_id, .. }
+                | Effect::Send { to: Mid(req_id), msg: Message::ImAlive { .. } } = effect
+                {
+                    prop_assert!(stamps[req_id as usize] <= synced);
+                    out.push(req_id);
+                }
+            }
+            Ok(())
+        };
+        for (op, n, inline) in ops {
+            match op {
+                0 => {
+                    appended += n;
+                    unsynced = if inline { 0 } else { unsynced + n };
+                    let released = gate.persisted(n, unsynced);
+                    leave(released, appended - unsynced, &mut out, &stamps)?;
+                }
+                1 => {
+                    let id = stamps.len() as u64;
+                    let effect = match n {
+                        0 => Effect::TxnResult { req_id: id, aid: None, outcome: TxnOutcome::Unresolved },
+                        1 => Effect::Send {
+                            to: Mid(id),
+                            msg: Message::ImAlive { from: Mid(0), viewid: ViewId::initial(Mid(0)) },
+                        },
+                        2 => Effect::SetTimer { after: 1, timer: Timer::Heartbeat },
+                        _ => Effect::Persist(DurableEvent::Sync),
+                    };
+                    if n < 2 {
+                        stamps.push(appended);
+                    } else {
+                        prop_assert_eq!(gate.admit(effect.clone()), Some(effect));
+                        continue;
+                    }
+                    let passed = gate.admit(effect).into_iter().collect();
+                    leave(passed, appended - unsynced, &mut out, &stamps)?;
+                }
+                2 => {
+                    unsynced = unsynced.min(n);
+                    let released = gate.synced(appended.saturating_sub(n));
+                    leave(released, appended - unsynced, &mut out, &stamps)?;
+                }
+                _ => unsynced = unsynced.min(n),
+            }
+            prop_assert!(unsynced == 0 || gate.is_dirty(), "the gate never runs ahead of the store");
+        }
+        leave(gate.synced(gate.appended()), appended, &mut out, &stamps)?;
+        prop_assert!(!gate.is_dirty());
+        let admitted: Vec<u64> = (0..stamps.len() as u64).collect();
+        prop_assert_eq!(out, admitted);
     }
 }

@@ -41,7 +41,7 @@ use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 use vsr_core::cohort::{CallOp, Cohort, CohortParams, Effect, Observation, Timer, TxnOutcome};
 use vsr_core::config::CohortConfig;
-use vsr_core::durable::RecoveredState;
+use vsr_core::durable::{DurabilityGate, RecoveredState};
 use vsr_core::messages::Message;
 use vsr_core::module::Module;
 use vsr_core::types::{GroupId, Mid, ViewId, Viewstamp};
@@ -264,41 +264,14 @@ struct CohortThread {
     metrics: Arc<Mutex<Metrics>>,
     progress: Arc<Progress>,
     recorder: Option<SharedRecorder>,
-    /// Group commit: effects whose visibility promises durability —
-    /// protocol sends and client replies — parked until the fsync
-    /// covering the records they depend on has happened. Each entry
-    /// is stamped with the value of `appended` when it was parked;
-    /// stamps are nondecreasing, so a covering fsync up to watermark
-    /// `w` releases exactly the prefix with stamp ≤ `w`.
-    deferred: Vec<(u64, Effect)>,
-    /// Records this cohort has appended to its WAL, mirroring the
-    /// store's `appends` counter (initialized from it at spawn so the
-    /// two never diverge). The flusher stamps its completions against
-    /// the same counter.
-    appended: u64,
-    /// Highest append watermark confirmed durable — by a flusher
-    /// completion, or by a cut-through sync inside the store. Effects
-    /// defer while `appended > synced_upto`.
-    synced_upto: u64,
-    /// Set while re-applying a released batch, so the deferral guard
-    /// lets the now-durable effects through even though newer records
-    /// may already be dirty again.
-    releasing: bool,
-    /// Wake token for the self-chaining flusher thread (present when
-    /// the store hands out detached sync handles). The flusher loops
-    /// covering fsyncs back-to-back until the log is clean, so a token
-    /// is only needed on the clean → dirty transition; a full channel
-    /// means a wake is already pending. Dropping the sender (cohort
-    /// thread exit) stops the flusher.
-    flusher_wake: Option<Sender<()>>,
-    /// When the oldest currently-unsynced WAL record was appended;
-    /// `None` means every appended record is covered by an fsync.
-    /// Only meaningful for inline-syncing stores (no flusher).
-    dirty_since: Option<Instant>,
-    /// Upper bound on how long appended records may wait for their
-    /// covering fsync (`FsyncPolicy::Group`'s `max_delay_ms`; zero for
-    /// the eager policies, which never leave records unsynced).
-    group_max_delay: Duration,
+    /// Group commit (`FsyncPolicy::Group` stores only): the gate that
+    /// parks effects asserting durability until their covering fsync,
+    /// and the wake token for the cohort's flusher thread. The flusher
+    /// loops covering fsyncs back-to-back until the log is clean, so a
+    /// token is only needed on the clean → dirty transition; a full
+    /// channel means a wake is already pending. Dropping the sender
+    /// (cohort thread exit, or a fatal store error) stops the flusher.
+    group: Option<(DurabilityGate, Sender<()>)>,
     /// A WAL write or fsync failed; the thread stops instead of acking
     /// state that may not be durable.
     store_failed: bool,
@@ -404,23 +377,12 @@ impl CohortThread {
                 self.apply(mid, effects);
             }
             // Group commit: get the covering fsync going for
-            // everything this pass appended. With a flusher thread
-            // (stores that detach sync handles) a wake token suffices
-            // — the flusher chains covering fsyncs back-to-back until
-            // the log is clean, so a full channel means it is already
-            // on it. Inline-syncing stores flush here, once the
-            // mailbox goes idle (the batch is as large as the burst)
-            // or the oldest unsynced record has aged `max_delay`.
-            if let Some(wake) = &self.flusher_wake {
-                if self.appended > self.synced_upto {
+            // everything this pass appended.
+            if let Some((gate, wake)) = &self.group {
+                if gate.is_dirty() {
                     // vsr-lint: allow(discarded_result, reason = "a full channel means a wake is already pending; a closed one means the flusher died and its SyncFailed is in the mailbox")
                     let _ = wake.try_send(());
                 }
-            } else if self
-                .dirty_since
-                .is_some_and(|t| t.elapsed() >= self.group_max_delay || self.rx.is_empty())
-            {
-                self.flush_store(mid);
             }
             if self.store_failed {
                 // The WAL is gone; stop acking and let the cluster
@@ -434,165 +396,102 @@ impl CohortThread {
     fn apply(&mut self, mid: Mid, effects: Vec<Effect>) {
         for effect in effects {
             if self.store_failed {
-                // A fatal store error already dropped the deferred
-                // batch; nothing later may leak out either.
+                // A fatal store error already dropped the parked
+                // effects; nothing later may leak out either.
                 return;
             }
-            // Group commit: while appended records await their
-            // covering fsync, anything that *asserts durability* to the
-            // outside — acks, votes, replies, client outcomes — is
-            // parked in order behind the flush, stamped with the
-            // append watermark it may depend on. `BufferSend` is
-            // exempt: replication traffic promises nothing (only the
-            // backup's ack, sent after *its* covering fsync, counts
-            // toward the sub-majority), so shipping records early
-            // overlaps the primary's fsync with the backups' instead
-            // of serializing them. Timers and observations also run
-            // immediately.
-            if self.appended > self.synced_upto
-                && !self.releasing
-                && match &effect {
-                    Effect::Send { msg, .. } => !matches!(msg, Message::BufferSend { .. }),
-                    Effect::TxnResult { .. } => true,
-                    Effect::SetTimer { .. } | Effect::Persist(_) | Effect::Observe(_) => false,
-                }
-            {
-                self.deferred.push((self.appended, effect));
-                continue;
+            let admitted = match &mut self.group {
+                Some((gate, _)) => gate.admit(effect),
+                None => Some(effect),
+            };
+            if let Some(effect) = admitted {
+                self.execute(mid, effect);
             }
-            match effect {
-                Effect::Send { to, msg } => {
-                    let sent = self.metrics.lock().on_send(to, &msg);
-                    self.trace(sent, None);
-                    self.router.send(mid, to, msg);
+        }
+    }
+
+    /// Execute one effect the durability gate let through (or released).
+    fn execute(&mut self, mid: Mid, effect: Effect) {
+        match effect {
+            Effect::Send { to, msg } => {
+                let sent = self.metrics.lock().on_send(to, &msg);
+                self.trace(sent, None);
+                self.router.send(mid, to, msg);
+            }
+            Effect::SetTimer { after, timer } => {
+                self.timer_seq += 1;
+                self.timers.push(TimerEntry {
+                    due: Instant::now() + Duration::from_millis(after),
+                    seq: self.timer_seq,
+                    timer,
+                });
+            }
+            Effect::TxnResult { req_id, outcome, .. } => {
+                self.req_t0.remove(&req_id);
+                if let Some(reply) = self.replies.remove(&req_id) {
+                    // vsr-lint: allow(discarded_result, reason = "the submitter may have timed out and dropped its receiver")
+                    let _ = reply.send(outcome);
                 }
-                Effect::SetTimer { after, timer } => {
-                    self.timer_seq += 1;
-                    self.timers.push(TimerEntry {
-                        due: Instant::now() + Duration::from_millis(after),
-                        seq: self.timer_seq,
-                        timer,
-                    });
-                }
-                Effect::TxnResult { req_id, outcome, .. } => {
-                    self.req_t0.remove(&req_id);
-                    if let Some(reply) = self.replies.remove(&req_id) {
-                        // vsr-lint: allow(discarded_result, reason = "the submitter may have timed out and dropped its receiver")
-                        let _ = reply.send(outcome);
-                    }
-                }
-                Effect::Persist(event) => {
-                    if let Some(store) = &self.store {
-                        let (result, d, unsynced_before, unsynced_after) = {
-                            let mut store = store.lock();
-                            let before = store.metrics();
-                            let pre = store.unsynced_records();
-                            let result = store.persist(&event);
-                            (result, store.metrics().since(&before), pre, store.unsynced_records())
-                        };
-                        if let Err(err) = result {
-                            self.fatal_store_error(err);
-                            return;
-                        }
-                        let delta = PersistDelta {
-                            appends: d.appends,
-                            fsyncs: d.fsyncs,
-                            bytes_written: d.bytes_written,
-                            checkpoints: d.checkpoints,
-                            unsynced_before,
-                            unsynced_after,
-                        };
-                        let appended = self.metrics.lock().on_persist(&delta);
-                        self.appended += delta.appends;
-                        if let Some(kind) = appended {
-                            self.trace(kind, None);
-                        }
-                        if unsynced_after > 0 {
-                            self.dirty_since.get_or_insert_with(Instant::now);
-                        } else {
-                            // The store synced inline (cut-through
-                            // viewid/checkpoint, batch bound, or an
-                            // eager policy): everything appended so
-                            // far is durable and may go out.
-                            self.dirty_since = None;
-                            self.advance_synced(mid, self.appended);
-                        }
-                    }
-                }
-                Effect::Observe(obs) => {
-                    let observed = {
-                        let mut m = self.metrics.lock();
-                        let observed = m.on_observation(&obs);
-                        if let Observation::LeasedRead { req_id, .. } = &obs {
-                            if let Some(t0) = self.req_t0.get(req_id) {
-                                m.lease_read_ticks.record(t0.elapsed().as_micros() as u64);
-                            }
-                        }
-                        observed
+            }
+            Effect::Persist(event) => {
+                if let Some(store) = &self.store {
+                    let (result, d, unsynced_before, unsynced_after) = {
+                        let mut store = store.lock();
+                        let before = store.metrics();
+                        let pre = store.unsynced_records();
+                        let result = store.persist(&event);
+                        (result, store.metrics().since(&before), pre, store.unsynced_records())
                     };
-                    if let Some((kind, vs)) = observed {
-                        self.trace(kind, vs);
+                    if let Err(err) = result {
+                        self.fatal_store_error(err);
+                        return;
                     }
-                    if matches!(obs, Observation::ViewChanged { .. }) {
-                        // Wake submitters stuck waiting for a primary:
-                        // the view just (re)formed.
-                        self.progress.bump();
+                    let delta = PersistDelta {
+                        appends: d.appends,
+                        fsyncs: d.fsyncs,
+                        bytes_written: d.bytes_written,
+                        checkpoints: d.checkpoints,
+                        unsynced_before,
+                        unsynced_after,
+                    };
+                    let appended = self.metrics.lock().on_persist(&delta);
+                    if let Some(kind) = appended {
+                        self.trace(kind, None);
                     }
-                    if let Some(tx) = &self.observations {
-                        // Best-effort telemetry: a full drain evicts its
-                        // oldest entry (counted as a mailbox drop) and
-                        // never stalls the cohort.
-                        tx.push((mid, obs));
+                    if let Some((gate, _)) = &mut self.group {
+                        let released = gate.persisted(delta.appends, unsynced_after);
+                        for effect in released {
+                            self.execute(mid, effect);
+                        }
                     }
                 }
             }
-        }
-    }
-
-    /// Advance the durable watermark and re-apply the parked prefix it
-    /// releases (stamp ≤ watermark). Called only once the records up
-    /// to `upto` are durable, so the batch flows straight through
-    /// `apply` even while newer records are dirty again.
-    fn advance_synced(&mut self, mid: Mid, upto: u64) {
-        if upto > self.synced_upto {
-            self.synced_upto = upto;
-        }
-        let n = self.deferred.partition_point(|(stamp, _)| *stamp <= self.synced_upto);
-        if n == 0 {
-            return;
-        }
-        let released: Vec<Effect> = self.deferred.drain(..n).map(|(_, effect)| effect).collect();
-        self.releasing = true;
-        self.apply(mid, released);
-        self.releasing = false;
-    }
-
-    /// Issue the covering fsync for every record appended since the
-    /// last sync and release everything parked behind it. A failed
-    /// fsync is fatal: nothing it was meant to cover may be acked.
-    /// Only called for inline-syncing stores — cohorts with a flusher
-    /// thread never flush on their own thread.
-    fn flush_store(&mut self, mid: Mid) {
-        let Some(store) = self.store.clone() else {
-            self.dirty_since = None;
-            return;
-        };
-        let (result, covered, synced) = {
-            let mut store = store.lock();
-            let covered = store.unsynced_records();
-            let before = store.metrics().fsyncs;
-            let result = store.flush();
-            (result, covered, store.metrics().fsyncs > before)
-        };
-        match result {
-            Ok(()) => {
-                if synced {
-                    self.metrics.lock().on_sync(covered);
+            Effect::Observe(obs) => {
+                let observed = {
+                    let mut m = self.metrics.lock();
+                    let observed = m.on_observation(&obs);
+                    if let Observation::LeasedRead { req_id, .. } = &obs {
+                        if let Some(t0) = self.req_t0.get(req_id) {
+                            m.lease_read_ticks.record(t0.elapsed().as_micros() as u64);
+                        }
+                    }
+                    observed
+                };
+                if let Some((kind, vs)) = observed {
+                    self.trace(kind, vs);
                 }
-                self.dirty_since = None;
-                self.advance_synced(mid, self.appended);
+                if matches!(obs, Observation::ViewChanged { .. }) {
+                    // Wake submitters stuck waiting for a primary:
+                    // the view just (re)formed.
+                    self.progress.bump();
+                }
+                if let Some(tx) = &self.observations {
+                    // Best-effort telemetry: a full drain evicts its
+                    // oldest entry (counted as a mailbox drop) and
+                    // never stalls the cohort.
+                    tx.push((mid, obs));
+                }
             }
-            Err(err) => self.fatal_store_error(err),
         }
     }
 
@@ -605,10 +504,12 @@ impl CohortThread {
             return;
         }
         self.metrics.lock().on_sync(covered);
-        if upto >= self.appended {
-            self.dirty_since = None;
+        if let Some((gate, _)) = &mut self.group {
+            let released = gate.synced(upto);
+            for effect in released {
+                self.execute(mid, effect);
+            }
         }
-        self.advance_synced(mid, upto);
     }
 
     /// A WAL append or fsync failed. Nothing the failed operation was
@@ -619,11 +520,9 @@ impl CohortThread {
     /// [`Cluster::recover`] restarts the cohort from the synced WAL
     /// prefix.
     fn fatal_store_error(&mut self, _err: StoreError) {
-        self.deferred.clear();
-        self.releasing = false;
+        self.group = None;
         self.replies.clear();
         self.req_t0.clear();
-        self.dirty_since = None;
         self.store_failed = true;
     }
 }
@@ -635,9 +534,9 @@ impl CohortThread {
 /// the cohort thread keeps appending the next batch, retires the
 /// covered frames, and posts the completion as a critical mailbox
 /// entry (never evicted by backpressure). When the store cannot detach
-/// a handle (a failed descriptor duplicate), the cycle degrades to an
-/// inline sync under the lock — slower, equally safe — rather than
-/// leaving the batch and its parked acks waiting forever. A failed
+/// a handle ([`SimDisk`], whose sync is a watermark bump, or a failed
+/// descriptor duplicate), the cycle syncs inline under the lock instead.
+/// A failed
 /// fsync is posted as fatal and stops the thread: nothing it was meant
 /// to cover may be acknowledged.
 ///
@@ -662,11 +561,8 @@ fn flusher_loop(store: &SharedStore, mailbox: &Mailbox, wake: &Receiver<()>) {
                 let upto = store.metrics().appends;
                 match store.sync_handle() {
                     Some(handle) => Ok((Some(handle), covered, upto)),
-                    // The duplicate failed mid-run (e.g. fd
-                    // exhaustion). The cohort never inline-flushes once
-                    // it has a flusher, so stalling here would park its
-                    // deferred acks forever; degrade to an inline sync
-                    // under the lock instead.
+                    // The flusher is the only flush path, so a store
+                    // without a handle syncs here, under the lock.
                     None => store.flush().map(|()| (None, covered, upto)),
                 }
             };
@@ -679,7 +575,7 @@ fn flusher_loop(store: &SharedStore, mailbox: &Mailbox, wake: &Receiver<()>) {
                 }
             };
             let covered = match handle {
-                // Inline fallback: the lock was held, nothing raced.
+                // Inline sync: the lock was held, nothing raced.
                 None => covered,
                 Some(handle) => match handle.sync() {
                     // An inline sync that ran while this fsync was in
@@ -1065,39 +961,20 @@ impl Cluster {
             self.router.endpoints.write().insert(mid, endpoint);
         }
         let stable = Arc::new(Mutex::new(cohort.stable_viewid()));
-        // Group commit's advisory latency bound lives here: the stores
-        // are wall-clock-free, so the cohort thread owns the deadline
-        // by which appended records must get their covering fsync.
-        let group_max_delay = match &self.durability {
-            Durability::Mem(FsyncPolicy::Group { max_delay_ms, .. })
-            | Durability::Files { policy: FsyncPolicy::Group { max_delay_ms, .. }, .. } => {
-                Duration::from_millis(*max_delay_ms)
-            }
-            Durability::None | Durability::Mem(_) | Durability::Files { .. } => Duration::ZERO,
-        };
-        // Stores that detach sync handles get a flusher thread: the
-        // covering fsync runs there, overlapped with the cohort
-        // appending its next batch. A spawn failure falls back to
-        // inline flushing — slower, equally safe.
-        let flusher_wake = store.as_ref().and_then(|store| {
-            store.lock().sync_handle()?;
+        // Group commit: the gate, and the flusher thread that runs
+        // every covering fsync for it.
+        let group = store.as_ref().and_then(|store| {
+            let gate = store.lock().durability_gate()?;
             let (wake_tx, wake_rx) = bounded::<()>(1);
             let store = Arc::clone(store);
             let flusher_mailbox = Arc::clone(&mailbox);
             std::thread::Builder::new()
                 .name(format!("flush-{mid}"))
                 .spawn(move || flusher_loop(&store, &flusher_mailbox, &wake_rx))
-                .ok()
-                .map(|_| wake_tx)
+                // vsr-lint: allow(expect_used, reason = "thread spawn failure at cluster construction is unrecoverable")
+                .expect("spawn flusher thread");
+            Some((gate, wake_tx))
         });
-        let (appended, synced_upto) = store
-            .as_ref()
-            .map(|s| {
-                let s = s.lock();
-                let appended = s.metrics().appends;
-                (appended, appended.saturating_sub(s.unsynced_records()))
-            })
-            .unwrap_or((0, 0));
         let thread = CohortThread {
             cohort,
             rx: Arc::clone(&mailbox),
@@ -1113,13 +990,7 @@ impl Cluster {
             metrics: self.metrics.clone(),
             progress: self.progress.clone(),
             recorder: self.recorder.clone(),
-            deferred: Vec::new(),
-            appended,
-            synced_upto,
-            releasing: false,
-            flusher_wake,
-            dirty_since: None,
-            group_max_delay,
+            group,
             store_failed: false,
         };
         let join = std::thread::Builder::new()
@@ -1545,11 +1416,11 @@ mod tests {
 
     #[test]
     fn flusher_falls_back_to_inline_flush_when_handle_unavailable() {
-        // Regression: a store whose `sync_handle()` fails mid-run (e.g.
-        // descriptor-duplicate failure under fd exhaustion) must not
-        // strand the batch — cohorts with a flusher never inline-flush
-        // themselves, so the flusher degrades to an inline flush under
-        // the lock and still posts the covering completion.
+        // A store that hands out no sync handle (SimDisk, or a file
+        // store whose descriptor duplicate fails mid-run) must not
+        // strand the batch: the flusher is the only flush path, so it
+        // flushes under the lock and still posts the covering
+        // completion.
         use vsr_core::durable::DurableEvent;
         #[derive(Debug)]
         struct NoHandleStore {

@@ -10,7 +10,7 @@ use vsr_core::cohort::{
     Timer, TxnOutcome,
 };
 use vsr_core::config::CohortConfig;
-use vsr_core::durable::RecoveredState;
+use vsr_core::durable::{DurabilityGate, RecoveredState};
 use vsr_core::messages::Message;
 use vsr_core::module::Module;
 use vsr_core::types::Viewstamp;
@@ -143,6 +143,7 @@ impl WorldBuilder {
             peers,
             cohort_cfg: self.cohort_cfg,
             disks: BTreeMap::new(),
+            gates: BTreeMap::new(),
             crashed: BTreeMap::new(),
             results: BTreeMap::new(),
             submit_target: BTreeMap::new(),
@@ -162,7 +163,9 @@ impl WorldBuilder {
                 let cohort = Cohort::new(world.params_for(mid));
                 world.cohorts.insert(mid, cohort);
                 if let Some(policy) = self.durability {
-                    world.disks.insert(mid, SimDisk::new(policy));
+                    let disk = SimDisk::new(policy);
+                    world.gates.extend(disk.durability_gate().map(|gate| (mid, gate)));
+                    world.disks.insert(mid, disk);
                 }
             }
         }
@@ -226,6 +229,10 @@ pub struct World {
     cohort_cfg: CohortConfig,
     /// Per-cohort simulated disks (durable worlds only).
     disks: BTreeMap<Mid, SimDisk>,
+    /// Durability gates of the cohorts whose disk needs one (see
+    /// [`Store::durability_gate`]). Dropped, with everything parked in
+    /// it, when the cohort crashes: a parked ack never leaves.
+    gates: BTreeMap<Mid, DurabilityGate>,
     /// Crashed cohorts and the fallback viewid recovery reports if no
     /// stable storage survives (in the paper's no-disk design this *is*
     /// the Section 4.2 stable viewid; durable cohorts instead recover
@@ -506,6 +513,7 @@ impl World {
             }
             None => self.cohorts[&mid].stable_viewid(),
         };
+        self.gates.remove(&mid);
         self.crashed.insert(mid, fallback);
         self.net.crash(mid.0);
         self.orphan_direct_submissions(mid);
@@ -522,6 +530,7 @@ impl World {
         if let Some(disk) = self.disks.get_mut(&mid) {
             disk.wipe();
         }
+        self.gates.remove(&mid);
         self.crashed.insert(mid, self.bootstrap_viewid(mid));
         self.net.crash(mid.0);
         self.orphan_direct_submissions(mid);
@@ -539,6 +548,7 @@ impl World {
             Some(disk) => disk.recover(fallback),
             None => RecoveredState::viewid_only(fallback),
         };
+        self.gates.extend(self.disks.get(&mid).and_then(|d| d.durability_gate()).map(|g| (mid, g)));
         let mut cohort = Cohort::recover(self.params_for(mid), recovered);
         self.metrics.records_replayed += cohort.records_replayed();
         let now = self.now();
@@ -763,75 +773,88 @@ impl World {
 
     fn apply_effects(&mut self, mid: Mid, effects: Vec<Effect>) {
         for effect in effects {
-            match effect {
-                Effect::Send { to, msg } => {
-                    let kind = self.metrics.on_send(to, &msg);
-                    self.trace(mid, kind, None);
-                    let size = msg.wire_size();
-                    self.net.send_dup(mid.0, to.0, msg, size);
-                }
-                Effect::SetTimer { after, timer } => {
-                    self.net.set_timer(mid.0, after, timer);
-                }
-                Effect::TxnResult { req_id, aid, outcome } => {
-                    self.record_result(req_id, aid, outcome);
-                }
-                Effect::Persist(event) => {
-                    // Durable worlds write the cohort's WAL; without
-                    // disks the effect is dropped, which *is* the
-                    // paper's no-disk design.
-                    if let Some(disk) = self.disks.get_mut(&mid) {
-                        let before = disk.metrics();
-                        let unsynced_before = disk.unsynced_records();
-                        disk.persist(&event).expect(
-                            "invariant: the world never arms sync-failure injection on its disks",
-                        );
-                        let d = disk.metrics().since(&before);
-                        let delta = PersistDelta {
-                            appends: d.appends,
-                            fsyncs: d.fsyncs,
-                            bytes_written: d.bytes_written,
-                            checkpoints: d.checkpoints,
-                            unsynced_before,
-                            unsynced_after: disk.unsynced_records(),
-                        };
-                        if let Some(kind) = self.metrics.on_persist(&delta) {
-                            self.trace(mid, kind, None);
-                        }
-                    }
-                }
-                Effect::Observe(observation) => {
-                    if let Some((kind, vs)) = self.metrics.on_observation(&observation) {
-                        self.trace(mid, kind, vs);
-                    }
-                    if let Observation::LeasedRead { req_id, .. } = &observation {
-                        if let Some(&t0) = self.submitted_at.get(req_id) {
-                            self.metrics.lease_read_ticks.record(self.net.now() - t0);
-                        }
-                    }
-                    self.observations.push((self.net.now(), observation));
-                }
+            let admitted = match self.gates.get_mut(&mid) {
+                Some(gate) => gate.admit(effect),
+                None => Some(effect),
+            };
+            if let Some(effect) = admitted {
+                self.execute(mid, effect);
             }
         }
-        // Group commit twin: one covering fsync per handler pass. Any
-        // records this pass appended that the store's policy left
-        // unsynced are synced now, before the next event runs — the
-        // sim's tick-free analogue of the runtime flushing when its
-        // mailbox drains.
+        // Group commit: one covering fsync per handler pass, before the
+        // next event runs.
         self.flush_disk(mid);
     }
 
-    /// Sync a cohort's disk if it holds records awaiting their covering
-    /// fsync, and account the group commit. Only `FsyncPolicy::Group`
-    /// promises records a covering fsync per pass; the lazier barrier
-    /// policies leave their unsynced suffix exposed *by design* (that
-    /// exposure is what A4 and the catastrophe model measure), so the
-    /// twin must not quietly harden them.
-    fn flush_disk(&mut self, mid: Mid) {
-        let Some(disk) = self.disks.get_mut(&mid) else { return };
-        if !matches!(disk.policy(), vsr_store::FsyncPolicy::Group { .. }) {
-            return;
+    /// Execute one effect the durability gate let through (or released).
+    fn execute(&mut self, mid: Mid, effect: Effect) {
+        match effect {
+            Effect::Send { to, msg } => {
+                let kind = self.metrics.on_send(to, &msg);
+                self.trace(mid, kind, None);
+                let size = msg.wire_size();
+                self.net.send_dup(mid.0, to.0, msg, size);
+            }
+            Effect::SetTimer { after, timer } => {
+                self.net.set_timer(mid.0, after, timer);
+            }
+            Effect::TxnResult { req_id, aid, outcome } => {
+                self.record_result(req_id, aid, outcome);
+            }
+            Effect::Persist(event) => {
+                // Durable worlds write the cohort's WAL; without
+                // disks the effect is dropped, which *is* the
+                // paper's no-disk design.
+                if let Some(disk) = self.disks.get_mut(&mid) {
+                    let before = disk.metrics();
+                    let unsynced_before = disk.unsynced_records();
+                    disk.persist(&event).expect(
+                        "invariant: the world never arms sync-failure injection on its disks",
+                    );
+                    let d = disk.metrics().since(&before);
+                    let delta = PersistDelta {
+                        appends: d.appends,
+                        fsyncs: d.fsyncs,
+                        bytes_written: d.bytes_written,
+                        checkpoints: d.checkpoints,
+                        unsynced_before,
+                        unsynced_after: disk.unsynced_records(),
+                    };
+                    if let Some(kind) = self.metrics.on_persist(&delta) {
+                        self.trace(mid, kind, None);
+                    }
+                    if let Some(gate) = self.gates.get_mut(&mid) {
+                        let released = gate.persisted(delta.appends, delta.unsynced_after);
+                        for effect in released {
+                            self.execute(mid, effect);
+                        }
+                    }
+                }
+            }
+            Effect::Observe(observation) => {
+                if let Some((kind, vs)) = self.metrics.on_observation(&observation) {
+                    self.trace(mid, kind, vs);
+                }
+                if let Observation::LeasedRead { req_id, .. } = &observation {
+                    if let Some(&t0) = self.submitted_at.get(req_id) {
+                        self.metrics.lease_read_ticks.record(self.net.now() - t0);
+                    }
+                }
+                self.observations.push((self.net.now(), observation));
+            }
         }
+    }
+
+    /// Sync a cohort's disk if it holds records awaiting their covering
+    /// fsync, account the group commit, and release what the gate
+    /// parked behind them. Only a gated cohort (`FsyncPolicy::Group`)
+    /// is promised a covering fsync per pass; the lazier barrier
+    /// policies leave their unsynced suffix exposed *by design* (that
+    /// exposure is what A4 and the catastrophe model measure).
+    fn flush_disk(&mut self, mid: Mid) {
+        let (Some(disk), Some(gate)) = (self.disks.get_mut(&mid), self.gates.get_mut(&mid)) else {
+            return;
+        };
         let covered = disk.unsynced_records();
         if covered == 0 {
             return;
@@ -840,6 +863,10 @@ impl World {
         disk.flush().expect("invariant: the world never arms sync-failure injection on its disks");
         if disk.metrics().fsyncs > before {
             self.metrics.on_sync(covered);
+        }
+        let released = gate.synced(gate.appended());
+        for effect in released {
+            self.execute(mid, effect);
         }
     }
 

@@ -38,7 +38,7 @@ pub mod sim;
 pub use file::FileStore;
 pub use sim::SimDisk;
 
-use vsr_core::durable::{DurableEvent, RecoveredState};
+use vsr_core::durable::{DurabilityGate, DurableEvent, RecoveredState};
 use vsr_core::types::ViewId;
 
 /// When the log is synced to stable storage.
@@ -54,9 +54,12 @@ pub enum FsyncPolicy {
     /// cohort may rejoin up to date.
     EveryRecord,
     /// Sync at force points (`DurableEvent::Sync`), view changes, and
-    /// checkpoints — the cadence of a conventional redo log. Committed
-    /// transactions survive on a majority of disks, but recovery is
-    /// still crash-acceptance (see the crate-level safety rule).
+    /// checkpoints — the cadence of a conventional redo log. Only a
+    /// primary emits `Sync` when it forces, so what survives a crash is
+    /// the primary's log up to its last force plus every viewid and
+    /// checkpoint; a backup's records stay unsynced until its next view
+    /// change or checkpoint. Recovery is crash-acceptance (see the
+    /// crate-level safety rule).
     OnForce,
     /// Sync only when a viewid or checkpoint is written — the paper's
     /// Section 4.2 minimum ("the only information that a cohort needs to
@@ -67,20 +70,19 @@ pub enum FsyncPolicy {
     /// Group commit: record appends and force barriers accumulate
     /// unsynced; one covering sync is issued when `max_batch` frames
     /// have piled up, when the harness calls [`Store::flush`] (the
-    /// runtime does so when its mailbox drains or `max_delay_ms`
-    /// elapses — the store itself never reads a clock), or when a
-    /// viewid/checkpoint forces immediate durability. Completions for
-    /// the batch must be withheld until the covering sync returns,
-    /// which keeps the acknowledged-implies-durable contract of
-    /// `OnForce` while paying one fsync per batch instead of one per
-    /// force point.
+    /// simulator at the end of each handler pass, the runtime from the
+    /// cohort's flusher thread), or when a viewid/checkpoint forces
+    /// immediate durability. The only policy that promises its records
+    /// a covering sync before they are acknowledged: harnesses run a
+    /// [`DurabilityGate`] in front of it (see
+    /// [`Store::durability_gate`]), which keeps the
+    /// acknowledged-implies-durable contract while paying one fsync per
+    /// batch instead of one per force point.
     Group {
         /// Sync as soon as this many frames are unsynced.
         max_batch: u32,
-        /// Advisory upper bound, in milliseconds, on how long a
-        /// completion may wait for its covering sync. Enforced by the
-        /// runtime's flush scheduling, not by the store (store crates
-        /// are wall-clock-free).
+        /// Unused: no code reads it. The field stays only because
+        /// `perfbench` constructs the policy with it.
         max_delay_ms: u64,
     },
 }
@@ -193,10 +195,10 @@ pub trait Store {
     /// Make `event` durable according to the store's fsync policy.
     ///
     /// Under [`FsyncPolicy::Group`] a record append may return with its
-    /// frame *unsynced*; the caller must withhold the completion until a
-    /// later call (another persist crossing `max_batch`, a viewid or
-    /// checkpoint, or an explicit [`flush`](Store::flush)) reports the
-    /// covering sync succeeded.
+    /// frame *unsynced*; the caller's [`DurabilityGate`] withholds the
+    /// completion until a later call (another persist crossing
+    /// `max_batch`, a viewid or checkpoint, or an explicit
+    /// [`flush`](Store::flush)) reports the covering sync succeeded.
     ///
     /// An `Err` is fatal to the cohort, not the process: the caller
     /// must drop every unacknowledged completion and crash-recover the
@@ -208,16 +210,18 @@ pub trait Store {
     /// durable and must not be acknowledged.
     fn flush(&mut self) -> Result<(), StoreError>;
 
-    /// Frames appended since the last successful sync. The runtime
-    /// samples this just before [`flush`](Store::flush) to feed the
-    /// `records_per_fsync` histogram and to decide whether a flush is
+    /// Frames appended since the last successful sync. Harnesses
+    /// sample this just before a covering sync to feed the
+    /// `records_per_fsync` histogram and to decide whether a sync is
     /// needed at all.
     fn unsynced_records(&self) -> u64;
 
     /// Take a handle that can issue the next covering sync without
-    /// holding this store's lock, or `None` when syncs are cheap
-    /// enough to stay inline (the default; [`SimDisk`]'s sync is a
-    /// watermark bump). The contract: every frame counted by
+    /// holding this store's lock, or `None` when the store cannot
+    /// detach one (the default; [`SimDisk`]'s sync is a watermark bump).
+    /// The runtime's flusher thread asks for a handle before every
+    /// covering sync and, on `None`, calls [`flush`](Store::flush)
+    /// under the lock instead. The contract: every frame counted by
     /// [`unsynced_records`](Store::unsynced_records) under the *same
     /// lock hold* is covered by the handle's
     /// [`sync`](SyncHandle::sync); on success the caller reports that
@@ -238,6 +242,18 @@ pub trait Store {
     /// that never hand out a handle.
     fn note_synced(&mut self, _covered: u64) -> bool {
         false
+    }
+
+    /// The gate a harness must run in front of this store's cohort:
+    /// `Some` only under [`FsyncPolicy::Group`], the one policy that
+    /// leaves records unsynced yet promises acknowledgements wait for
+    /// their covering sync. Under the other policies nothing is gated
+    /// or flushed by the harness: `EveryRecord` syncs inline, and the
+    /// lazy policies leave their unsynced suffix exposed by design
+    /// (their recovery is crash-acceptance).
+    fn durability_gate(&self) -> Option<DurabilityGate> {
+        matches!(self.policy(), FsyncPolicy::Group { .. })
+            .then(|| DurabilityGate::new(self.metrics().appends, self.unsynced_records()))
     }
 
     /// Arm failure injection: the next `n` sync attempts fail. Only
