@@ -6,8 +6,8 @@
 //! ```
 //!
 //! `id` is one of `e1`…`e12`, `a1`…`a7`. With `out`, `a5`, `a6` and
-//! `a7` also write their points as JSON to that path (the committed
-//! `BENCH_*.json` baselines), and `all` dumps a traced normal-case run
+//! `a7` also write their points as JSON to that path (the baselines CI
+//! records as artifacts), and `all` dumps a traced normal-case run
 //! through the structured-trace exporters into the directory `out`:
 //! `e1-trace.jsonl` (schema-checked) and `e1-trace-chrome.json`
 //! (loadable in chrome://tracing / Perfetto).

@@ -9,8 +9,8 @@
 //!    time the answer is *nothing* — persists execute outside the
 //!    message schedule, exactly the paper's design point — so the table
 //!    reports the disk work (appends, fsyncs, bytes) each policy incurs
-//!    for the same workload. Wall-clock cost is measured by the
-//!    `store_wal` criterion bench.
+//!    for the same workload. Wall-clock cost is measured by perfbench's
+//!    `store.*` layer metrics.
 //! 2. How does the checkpoint interval trade log-replay work against
 //!    checkpoint write volume when an entire group crashes and recovers
 //!    from disk?
@@ -158,11 +158,10 @@ pub fn run() -> String {
         "Commit latency is identical across policies: persists run off the \
          simulated critical path, which is exactly the Section 4.2 design point \
          (the disk never gates a commit). The policies differ in how much disk \
-         work — and how much surviving state — they buy; wall-clock append cost \
-         is measured by `cargo bench` (`store_wal`: SimDisk appends ~0.3–0.4 µs; \
-         FileStore ~0.7 µs unsynced, ~100 µs with per-record fsync; end-to-end \
-         commit batches under the default lazy policy within noise of the \
-         in-memory baseline, comfortably inside the <5% budget).",
+         work — and how much surviving state — they buy; wall-clock append, \
+         fsync and recovery cost is measured by perfbench's `store.*` layer \
+         metrics (`store.persist_us`, `store.flush_us`, and `store.recover` in \
+         the layer attribution; see perfbench/RATIONALE.md).",
     );
     out.push_str(&policies.render());
 

@@ -18,8 +18,8 @@
 //! * writer coalescing: frames that rode a shared vectored write
 //!   (networked setup).
 //!
-//! `exp a6 <path>` additionally writes the points as JSON — the
-//! `BENCH_pipeline.json` trajectory recorded by CI. Wall-clock numbers
+//! `exp a6 <path>` additionally writes the points as JSON; CI records
+//! them as the `bench-pipeline-trajectory` artifact. Wall-clock numbers
 //! vary across machines; the *ratios* (scaling with clients, durable
 //! vs in-memory) are the experiment's claims.
 
@@ -265,7 +265,7 @@ pub fn render(points: &[LoadPoint]) -> String {
     table.render()
 }
 
-/// Serialize the points as the `BENCH_pipeline.json` trajectory.
+/// Serialize the points as the JSON trajectory `exp a6 <path>` writes.
 pub fn to_json(points: &[LoadPoint]) -> String {
     let mut out = String::from(
         "{\n  \"experiment\": \"A6\",\n  \"title\": \

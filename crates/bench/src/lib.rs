@@ -9,8 +9,9 @@
 //!   (E1–E12, A1–A7), recorded in EXPERIMENTS.md.
 //! * `cargo run -p vsr-bench --release --bin exp -- e<N>` — one
 //!   experiment.
-//! * `cargo bench` — Criterion micro-benchmarks of the protocol hot
-//!   paths plus end-to-end transaction and commit-latency benches.
+//!
+//! Wall-clock per-layer and end-to-end timings of the live runtime are
+//! perfbench's job (`python3 perfbench/run.py`, see BENCHMARK.json).
 
 #![warn(missing_docs)]
 

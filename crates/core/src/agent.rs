@@ -214,9 +214,6 @@ impl ClientAgent {
             Message::ClientPing { aid, reply_to } if self.by_aid.contains_key(&aid) => {
                 out.push(Effect::Send { to: reply_to, msg: Message::ClientPong { aid } });
             }
-            // Not collapsed into a match guard: `update_cache` has side
-            // effects and belongs in the arm body.
-            #[allow(clippy::collapsible_match)]
             Message::ProbeReply { group, viewid, view } => {
                 if self.update_cache(group, viewid, view) {
                     self.resend_current(group, &mut out);
@@ -565,7 +562,24 @@ impl ClientAgent {
                     timer: Timer::AgentCommitRetry { aid, attempt: attempt + 1 },
                 });
             }
-            _ => {}
+            // Cohort timers: an agent never arms them. Listing them keeps
+            // this match exhaustive so a new timer must decide whether
+            // agents care.
+            Timer::Heartbeat
+            | Timer::BufferFlush
+            | Timer::CallRetry { .. }
+            | Timer::PrepareRetry { .. }
+            | Timer::CommitRetry { .. }
+            | Timer::ForceCheck { .. }
+            | Timer::LockWait { .. }
+            | Timer::QueryTick { .. }
+            | Timer::InviteTimeout { .. }
+            | Timer::UnderlingTimeout { .. }
+            | Timer::ManagerRetry { .. }
+            | Timer::ClientPingTimeout { .. }
+            | Timer::ChunkRetry { .. }
+            | Timer::LeaseExpiry { .. }
+            | Timer::LeaseWait { .. } => {}
         }
         out
     }

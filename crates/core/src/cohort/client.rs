@@ -816,8 +816,3 @@ impl Cohort {
         self.resumed.len()
     }
 }
-
-// Silence an unused-import warning when debug assertions are compiled
-// out.
-#[allow(unused_imports)]
-use Observation as _Observation;

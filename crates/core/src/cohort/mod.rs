@@ -575,7 +575,7 @@ pub(crate) struct WaitingCall {
 /// Everything needed to construct a cohort.
 ///
 /// Not `Debug` because it owns the boxed application [`Module`].
-#[allow(missing_debug_implementations)]
+#[expect(missing_debug_implementations, reason = "owns the boxed application Module")]
 pub struct CohortParams {
     /// Protocol tuning knobs.
     pub cfg: CohortConfig,
@@ -1761,7 +1761,7 @@ impl Cohort {
     /// Install a new view whose base snapshot is in hand: reconstruct
     /// the group state as `base.gstate + delta`, switch views, and
     /// re-anchor the delta log.
-    #[allow(clippy::too_many_arguments)]
+    #[expect(clippy::too_many_arguments, reason = "the parts of one resolved view formation")]
     fn install_resolved(
         &mut self,
         now: Tick,
@@ -1811,7 +1811,7 @@ impl Cohort {
     }
 
     /// A snapshot chunk arrived for an in-progress fetch.
-    #[allow(clippy::too_many_arguments)] // mirrors Message::Chunk's fields
+    #[expect(clippy::too_many_arguments, reason = "mirrors Message::Chunk's fields")]
     fn on_chunk(
         &mut self,
         now: Tick,
@@ -2261,6 +2261,11 @@ impl Cohort {
 
     /// The lease wait is over (timer fired or revocation arrived):
     /// replay the deferred commit-point messages in arrival order.
+    #[expect(
+        clippy::wildcard_enum_match_arm,
+        reason = "the deferral filter in on_message queues exactly these three commit-point \
+                  variants; anything else here is a bug the debug_assert catches"
+    )]
     fn end_lease_wait(&mut self, now: Tick, out: &mut Vec<Effect>) {
         self.lease_wait = None;
         for msg in std::mem::take(&mut self.lease_deferred) {
@@ -2272,7 +2277,6 @@ impl Cohort {
                     self.on_commit(now, aid, Some(coordinator), out)
                 }
                 Message::QueryReply { aid, outcome } => self.on_query_reply(now, aid, outcome, out),
-                // vsr-lint: allow(wildcard_match, reason = "the deferral filter in on_message queues exactly these three commit-point variants; anything else here is a bug the debug_assert catches")
                 _ => debug_assert!(false, "only commit-point messages are deferred"),
             }
         }

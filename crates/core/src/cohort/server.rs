@@ -27,7 +27,7 @@ impl Cohort {
     // remote calls (Figure 3, "Processing a call")
     // ------------------------------------------------------------------
 
-    #[allow(clippy::too_many_arguments)]
+    #[expect(clippy::too_many_arguments, reason = "mirrors Message::Call's fields")]
     pub(crate) fn on_call(
         &mut self,
         now: Tick,

@@ -12,7 +12,7 @@
 //! carrying the view, history, and group state — as the first event of
 //! the new view's communication buffer.
 
-use super::{Cohort, Effect, LeaseWaitState, Observation, Status, Timer, TxnOutcome};
+use super::{Cohort, Effect, LeaseWaitState, Observation, Status, Timer};
 use crate::buffer::CommBuffer;
 use crate::durable::{Checkpoint, DurableEvent};
 use crate::event::{EventKind, EventRecord};
@@ -715,13 +715,6 @@ impl Cohort {
         }));
     }
 }
-
-// Re-export for sibling module visibility without making it public API.
-#[allow(unused_imports)]
-pub(crate) use Acceptance as _AcceptanceAlias;
-
-#[allow(unused_imports)]
-use TxnOutcome as _TxnOutcomeAlias;
 
 #[cfg(test)]
 mod tests {

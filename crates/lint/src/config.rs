@@ -1,47 +1,24 @@
-//! `lint.toml` — which crates get which rule families.
+//! `lint.toml` — which crates play which role in the cross-file rules.
 //!
 //! The parser handles the small TOML subset the config actually uses
-//! (tables, string keys, string and string-array values, `#` comments);
-//! anything else is a hard error so a typo cannot silently drop a crate
+//! (one `[flow]` table, string and string-array values, `#` comments);
+//! anything else is a hard error so a typo cannot silently drop a rule
 //! from the gate.
 
-use std::collections::BTreeMap;
 use std::fmt;
 
-/// One `[crates.<name>]` entry.
+/// The parsed `[flow]` table (see `crate::flow`).
 #[derive(Debug, Clone, Default)]
-pub struct CrateRules {
-    /// Crate root relative to the workspace root (e.g. `crates/core`).
-    pub path: String,
-    /// Rule families to apply (`determinism`, `sans_io`,
-    /// `protocol_shape`, `error_discipline`).
-    pub rules: Vec<String>,
-}
-
-/// The `[flow]` section: which crates play which role in the
-/// cross-file flow analysis (see `crate::flow`).
-#[derive(Debug, Clone, Default)]
-pub struct FlowConfig {
+pub struct Config {
     /// Flow rule families/ids to enable (`handler_coverage`,
     /// `lock_order`).
     pub rules: Vec<String>,
-    /// Enums whose variants need construction + core-handler coverage.
+    /// Enums whose variants must each be constructed outside tests.
     pub handler_enums: Vec<String>,
-    /// The crate defining the protocol enums (handlers live here).
+    /// The crate defining the handler enums.
     pub core: String,
     /// Crates whose lock acquisition orders are checked pairwise.
     pub lock_order: Vec<String>,
-}
-
-/// The parsed configuration.
-#[derive(Debug, Clone, Default)]
-pub struct Config {
-    /// Crate name → rules, in file order.
-    pub crates: BTreeMap<String, CrateRules>,
-    /// Enum names whose matches must be exhaustive (no `_ =>`).
-    pub watched_enums: Vec<String>,
-    /// Cross-file flow analysis configuration.
-    pub flow: FlowConfig,
 }
 
 /// A parse failure with its line.
@@ -85,9 +62,6 @@ impl Config {
             }
             if let Some(name) = line.strip_prefix('[').and_then(|l| l.strip_suffix(']')) {
                 section = Some(name.trim().to_string());
-                if let Some(krate) = name.trim().strip_prefix("crates.") {
-                    cfg.crates.entry(krate.to_string()).or_default();
-                }
                 continue;
             }
             let Some((key, value)) = line.split_once('=') else {
@@ -96,52 +70,24 @@ impl Config {
                     message: format!("expected `key = value` or `[section]`, got `{line}`"),
                 });
             };
-            let key = key.trim();
-            let value = value.trim();
-            match section.as_deref() {
-                Some("protocol") if key == "watched_enums" => {
-                    cfg.watched_enums = parse_string_array(value, lineno)?;
-                }
-                Some("flow") => match key {
-                    "rules" => cfg.flow.rules = parse_string_array(value, lineno)?,
-                    "handler_enums" => cfg.flow.handler_enums = parse_string_array(value, lineno)?,
-                    "core" => cfg.flow.core = parse_string(value, lineno)?,
-                    "lock_order" => cfg.flow.lock_order = parse_string_array(value, lineno)?,
-                    other => {
-                        return Err(ConfigError {
-                            line: lineno,
-                            message: format!("unknown flow key `{other}`"),
-                        })
-                    }
-                },
-                Some(s) if s.starts_with("crates.") => {
-                    let krate = s.trim_start_matches("crates.").to_string();
-                    let entry = cfg.crates.entry(krate).or_default();
-                    match key {
-                        "path" => entry.path = parse_string(value, lineno)?,
-                        "rules" => entry.rules = parse_string_array(value, lineno)?,
-                        other => {
-                            return Err(ConfigError {
-                                line: lineno,
-                                message: format!("unknown crate key `{other}`"),
-                            })
-                        }
-                    }
-                }
-                _ => {
+            let (key, value) = (key.trim(), value.trim());
+            if section.as_deref() != Some("flow") {
+                return Err(ConfigError {
+                    line: lineno,
+                    message: format!("key `{key}` outside the [flow] section"),
+                });
+            }
+            match key {
+                "rules" => cfg.rules = parse_string_array(value, lineno)?,
+                "handler_enums" => cfg.handler_enums = parse_string_array(value, lineno)?,
+                "core" => cfg.core = parse_string(value, lineno)?,
+                "lock_order" => cfg.lock_order = parse_string_array(value, lineno)?,
+                other => {
                     return Err(ConfigError {
                         line: lineno,
-                        message: format!("key `{key}` outside a recognized section"),
+                        message: format!("unknown flow key `{other}`"),
                     })
                 }
-            }
-        }
-        for (name, entry) in &cfg.crates {
-            if entry.path.is_empty() {
-                return Err(ConfigError {
-                    line: 0,
-                    message: format!("[crates.{name}] is missing `path`"),
-                });
             }
         }
         Ok(cfg)
@@ -188,57 +134,34 @@ mod tests {
     use super::*;
 
     #[test]
-    fn parses_full_config() {
+    fn parses_flow_section() {
         let cfg = Config::parse(
-            r#"
-# comment
-[protocol]
-watched_enums = ["Message", "FaultEvent"]
-
-[crates.vsr-core]
-path = "crates/core"
-rules = ["determinism", "sans_io"]
-"#,
+            "# comment\n[flow]\nrules = [\"handler_coverage\", \"lock_order\"]\n\
+             handler_enums = [\"Message\", \"Timer\"]\ncore = \"vsr-core\"\n\
+             lock_order = [\"vsr-runtime\", \"vsr-net\"]\n",
         )
         .expect("parses");
-        assert_eq!(cfg.watched_enums, ["Message", "FaultEvent"]);
-        let core = &cfg.crates["vsr-core"];
-        assert_eq!(core.path, "crates/core");
-        assert_eq!(core.rules, ["determinism", "sans_io"]);
-    }
-
-    #[test]
-    fn missing_path_is_an_error() {
-        let err = Config::parse("[crates.x]\nrules = [\"determinism\"]\n").expect_err("rejects");
-        assert!(err.message.contains("missing `path`"));
+        assert_eq!(cfg.rules, ["handler_coverage", "lock_order"]);
+        assert_eq!(cfg.handler_enums, ["Message", "Timer"]);
+        assert_eq!(cfg.core, "vsr-core");
+        assert_eq!(cfg.lock_order, ["vsr-runtime", "vsr-net"]);
     }
 
     #[test]
     fn multi_line_arrays_parse() {
         let cfg = Config::parse(
-            "[protocol]\nwatched_enums = [\n    \"Message\",  # trailing comment\n    \"Status\",\n]\n",
+            "[flow]\nlock_order = [\n    \"vsr-runtime\",  # trailing comment\n    \"vsr-net\",\n]\n",
         )
         .expect("parses");
-        assert_eq!(cfg.watched_enums, ["Message", "Status"]);
+        assert_eq!(cfg.lock_order, ["vsr-runtime", "vsr-net"]);
     }
 
     #[test]
     fn junk_is_an_error() {
         assert!(Config::parse("wat\n").is_err());
-        assert!(Config::parse("[crates.x]\npath = unquoted\n").is_err());
-    }
-
-    #[test]
-    fn parses_flow_section() {
-        let cfg = Config::parse(
-            "[flow]\nrules = [\"handler_coverage\", \"lock_order\"]\n\
-             handler_enums = [\"Message\", \"Timer\"]\ncore = \"vsr-core\"\n\
-             lock_order = [\"vsr-runtime\", \"vsr-net\"]\n",
-        )
-        .expect("parses");
-        assert_eq!(cfg.flow.rules, ["handler_coverage", "lock_order"]);
-        assert_eq!(cfg.flow.core, "vsr-core");
-        assert_eq!(cfg.flow.lock_order, ["vsr-runtime", "vsr-net"]);
+        assert!(Config::parse("[flow]\ncore = unquoted\n").is_err());
+        let err = Config::parse("[crates.x]\npath = \"x\"\n").expect_err("rejects");
+        assert!(err.message.contains("outside the [flow] section"));
     }
 
     #[test]

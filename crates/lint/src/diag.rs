@@ -1,4 +1,4 @@
-//! Diagnostics: rustc-style text rendering and `--json` output.
+//! Diagnostics: rustc-style text rendering.
 
 use std::fmt::Write as _;
 use std::path::PathBuf;
@@ -6,7 +6,7 @@ use std::path::PathBuf;
 /// One lint finding.
 #[derive(Debug, Clone)]
 pub struct Diagnostic {
-    /// Rule id (e.g. `wall_clock`).
+    /// Rule id (e.g. `expect_used`).
     pub rule: &'static str,
     /// File the finding is in.
     pub file: PathBuf,
@@ -34,35 +34,6 @@ impl Diagnostic {
         );
         s
     }
-
-    /// Render as one JSON object (no external JSON dependency, so the
-    /// escaping lives here).
-    pub fn render_json(&self) -> String {
-        format!(
-            "{{\"rule\":\"{}\",\"file\":\"{}\",\"line\":{},\"message\":\"{}\"}}",
-            escape(self.rule),
-            escape(&self.file.display().to_string()),
-            self.line,
-            escape(&self.message)
-        )
-    }
-}
-
-fn escape(s: &str) -> String {
-    let mut out = String::with_capacity(s.len());
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => {
-                let _ = write!(out, "\\u{:04x}", c as u32);
-            }
-            c => out.push(c),
-        }
-    }
-    out
 }
 
 #[cfg(test)]
@@ -70,28 +41,16 @@ mod tests {
     use super::*;
 
     #[test]
-    fn json_escapes_quotes() {
-        let d = Diagnostic {
-            rule: "print_io",
-            file: PathBuf::from("a.rs"),
-            line: 3,
-            message: "call to `println!(\"x\")`".to_string(),
-            note: "",
-        };
-        assert!(d.render_json().contains("\\\"x\\\""));
-    }
-
-    #[test]
     fn render_has_rustc_shape() {
         let d = Diagnostic {
-            rule: "wall_clock",
+            rule: "expect_used",
             file: PathBuf::from("crates/core/src/x.rs"),
             line: 12,
             message: "m".to_string(),
             note: "n",
         };
         let r = d.render();
-        assert!(r.starts_with("error[vsr-lint::wall_clock]: m"));
+        assert!(r.starts_with("error[vsr-lint::expect_used]: m"));
         assert!(r.contains("--> crates/core/src/x.rs:12"));
         assert!(r.contains("= note: n"));
     }

@@ -1,24 +1,25 @@
 //! Cross-file flow rules.
 //!
-//! Token rules check one file at a time; these passes check the shape
-//! of the *protocol loop* across crates, using the item-level facts
-//! from [`crate::parse`]:
+//! These passes check the shape of the *protocol loop* across crates,
+//! using the item-level facts from [`crate::parse`]:
 //!
-//! * `handler_coverage` — `dead_variant` / `unhandled_variant`: every
-//!   variant of a handler enum (`Message`, `Timer`) must be
-//!   constructed somewhere outside tests and matched by a handler in
-//!   the core crate. A variant nobody builds is dead protocol surface;
-//!   a variant no core handler matches is a silent drop.
+//! * `handler_coverage` — `dead_variant`: every variant of a handler
+//!   enum (`Message`, `Timer`) must be constructed somewhere outside
+//!   tests. A variant nobody builds is dead protocol surface. (The
+//!   other half — every variant reaches a core handler — is rustc's
+//!   exhaustiveness check: vsr-core's dispatch matches name every
+//!   variant, and clippy's `wildcard_enum_match_arm` keeps them free of
+//!   catch-all arms.)
 //! * `lock_order` — `lock_order_inversion`: per crate, build each
 //!   function's guard-acquisition sequence from `.lock()` call sites
 //!   and flag lock pairs taken in opposite orders by two functions.
 //!
-//! Approximations are documented in DESIGN.md §10.2: handler analysis
+//! Approximations are documented in DESIGN.md §10.2: variant analysis
 //! keys on `Enum::Variant` paths (no type inference), and lock order is
 //! intra-function with receiver-field names standing in for lock
 //! identity.
 
-use crate::config::FlowConfig;
+use crate::config::Config;
 use crate::diag::Diagnostic;
 use crate::lexer::{Tok, TokKind};
 use crate::parse::{EnumDef, ParsedFile};
@@ -47,7 +48,7 @@ pub fn run_single_file(
     parsed: &ParsedFile,
     enabled: &BTreeSet<&'static str>,
 ) -> Vec<Diagnostic> {
-    let cfg = FlowConfig {
+    let cfg = Config {
         rules: Vec::new(),
         handler_enums: vec!["Message".to_string(), "Timer".to_string()],
         core: String::new(),
@@ -63,16 +64,15 @@ pub fn run_single_file(
 /// crate name → its analyzed files; the roles in `cfg` must name keys
 /// of that map.
 pub fn run(
-    cfg: &FlowConfig,
+    cfg: &Config,
     enabled: &BTreeSet<&'static str>,
     units: &BTreeMap<String, Vec<FlowFile>>,
 ) -> Result<Vec<Diagnostic>, String> {
     let mut out = Vec::new();
-    let handler = enabled.contains("dead_variant") || enabled.contains("unhandled_variant");
-    if handler {
+    if enabled.contains("dead_variant") {
         let core = role(units, &cfg.core, "flow.core")?;
         for ename in &cfg.handler_enums {
-            handler_coverage(cfg, enabled, units, core, ename, &mut out);
+            dead_variants(units, core, ename, &mut out);
         }
     }
     if enabled.contains("lock_order_inversion") {
@@ -89,12 +89,10 @@ fn role<'u, 'a>(
     name: &str,
     key: &str,
 ) -> Result<&'u [FlowFile<'a>], String> {
-    units.get(name).map(Vec::as_slice).ok_or_else(|| {
-        format!(
-            "{key}: crate `{name}` is not analyzed — it must appear in [crates.*] with a \
-             non-empty rule list"
-        )
-    })
+    units
+        .get(name)
+        .map(Vec::as_slice)
+        .ok_or_else(|| format!("{key}: crate `{name}` is not a workspace member"))
 }
 
 fn mk(
@@ -139,9 +137,7 @@ fn variant_path<'a>(
 
 // ------------------------------------------------------- handler_coverage
 
-fn handler_coverage(
-    cfg: &FlowConfig,
-    enabled: &BTreeSet<&'static str>,
+fn dead_variants(
     units: &BTreeMap<String, Vec<FlowFile>>,
     core: &[FlowFile],
     ename: &str,
@@ -150,27 +146,18 @@ fn handler_coverage(
     let Some((def_path, def)) = find_enum(core, ename) else { return };
     let variants: BTreeSet<&str> = def.variants.iter().map(|(n, _)| n.as_str()).collect();
     let mut constructed: BTreeSet<&str> = BTreeSet::new();
-    let mut matched: BTreeSet<&str> = BTreeSet::new();
-    for (unit, files) in units {
-        let is_core = unit == &cfg.core;
-        for f in files {
-            for i in 0..f.toks.len() {
-                if f.excluded[i] {
-                    continue;
-                }
-                let Some(v) = variant_path(f, i, ename, &variants) else { continue };
-                if f.parsed.pattern[i] {
-                    if is_core {
-                        matched.insert(v);
-                    }
-                } else {
-                    constructed.insert(v);
-                }
+    for f in units.values().flatten() {
+        for i in 0..f.toks.len() {
+            if f.excluded[i] || f.parsed.pattern[i] {
+                continue;
+            }
+            if let Some(v) = variant_path(f, i, ename, &variants) {
+                constructed.insert(v);
             }
         }
     }
     for (v, line) in &def.variants {
-        if enabled.contains("dead_variant") && !constructed.contains(v.as_str()) {
+        if !constructed.contains(v.as_str()) {
             out.push(mk(
                 def_path,
                 *line,
@@ -178,16 +165,6 @@ fn handler_coverage(
                 format!("`{ename}::{v}` is constructed nowhere outside tests"),
                 "a variant no sender or timer-arm ever builds is dead protocol surface; \
                  delete it or wire up its producer",
-            ));
-        }
-        if enabled.contains("unhandled_variant") && !matched.contains(v.as_str()) {
-            out.push(mk(
-                def_path,
-                *line,
-                "unhandled_variant",
-                format!("`{ename}::{v}` is never matched by a core handler"),
-                "every constructed variant must reach a pattern in the core state machine \
-                 (on_message / on_timer); an unmatched variant is a silent drop",
             ));
         }
     }
@@ -415,17 +392,19 @@ mod tests {
     }
 
     #[test]
-    fn unhandled_variant_flags_unmatched() {
+    fn pattern_uses_are_not_constructions() {
         let src = "enum Timer { Tick, Orphan }\n\
-                   fn arm() { set(Timer::Tick); set(Timer::Orphan); }\n\
+                   fn arm() { set(Timer::Tick); }\n\
                    fn on_timer(t: Timer) { match t { Timer::Tick => fire(), Timer::Orphan => fire() } }\n\
-                   fn only_tick(t: &Timer) -> bool { matches!(t, Timer::Tick) }";
-        assert!(run_on(src, &["handler_coverage"]).is_empty());
-        let bad = src.replace(", Timer::Orphan => fire()", "");
-        let d = run_on(&bad, &["handler_coverage"]);
+                   fn only_orphan(t: &Timer) -> bool { matches!(t, Timer::Orphan) }";
+        let d = run_on(src, &["handler_coverage"]);
         assert_eq!(d.len(), 1, "{d:?}");
-        assert_eq!(d[0].rule, "unhandled_variant");
         assert!(d[0].message.contains("Timer::Orphan"));
+        assert!(run_on(
+            &src.replace("set(Timer::Tick);", "set(Timer::Tick); set(Timer::Orphan);"),
+            &["handler_coverage"]
+        )
+        .is_empty());
     }
 
     #[test]

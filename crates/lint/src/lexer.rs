@@ -2,16 +2,19 @@
 //!
 //! The build environment has no crates.io access, so `vsr-lint` cannot
 //! use `syn`; instead it carries this small hand-rolled lexer and runs
-//! its rules over the token stream. That is enough for every invariant
-//! we enforce — forbidden paths, match-arm shapes, method-call
-//! sequences — and it never has to be a full parser.
+//! its rules over the token stream (plus the item-level facts of
+//! [`crate::parse`]). That is enough for every invariant it enforces —
+//! expect messages, variant constructions, lock acquisitions — and it
+//! never has to be a full parser.
 //!
 //! The lexer understands everything that could make a naive scanner
 //! misread code as tokens or vice versa: line and (nested) block
 //! comments, string/char/byte literals with escapes, raw strings with
-//! arbitrary `#` fences, and lifetimes. Comments are not tokens, but
-//! `// vsr-lint: allow(...)` directives inside them are extracted into
-//! [`SourceFile::allows`] so rules can honor suppressions.
+//! arbitrary `#` fences, and lifetimes. Comments are not tokens, but a
+//! plain `//` comment that starts with `vsr-lint:` is a directive,
+//! extracted into [`SourceFile::allows`] so rules can honor
+//! suppressions. Doc comments never are, so documentation can quote
+//! the syntax.
 
 /// Token classification — only as fine-grained as the rules need.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -331,13 +334,18 @@ fn lex_prefixed_string(b: &[char], i: usize, line: u32) -> Option<(Tok, usize, u
     None
 }
 
-/// Parse `vsr-lint:` directives out of one line comment.
+/// Parse a `vsr-lint:` directive out of one line comment.
 ///
 /// Grammar: `// vsr-lint: allow(rule_name, reason = "…")` or
-/// `// vsr-lint: allow-file(rule_name, reason = "…")`.
+/// `// vsr-lint: allow-file(rule_name, reason = "…")`. Doc comments
+/// (`///`, `//!`) are skipped.
 fn scan_directive(comment: &str, line: u32, out: &mut SourceFile) {
-    let Some(pos) = comment.find("vsr-lint:") else { return };
-    let rest = comment[pos + "vsr-lint:".len()..].trim();
+    let body = comment.strip_prefix("//").unwrap_or(comment);
+    if body.starts_with('/') || body.starts_with('!') {
+        return;
+    }
+    let Some(rest) = body.trim_start().strip_prefix("vsr-lint:") else { return };
+    let rest = rest.trim();
     let (whole_file, body) = if let Some(r) = rest.strip_prefix("allow-file(") {
         (true, r)
     } else if let Some(r) = rest.strip_prefix("allow(") {
@@ -482,23 +490,31 @@ mod tests {
 
     #[test]
     fn allow_directive_parses() {
-        let f = lex("// vsr-lint: allow(unwrap_used, reason = \"test scaffolding\")\nlet x = 1;");
+        let f = lex("// vsr-lint: allow(expect_used, reason = \"test scaffolding\")\nlet x = 1;");
         assert_eq!(f.allows.len(), 1);
-        assert_eq!(f.allows[0].rule, "unwrap_used");
+        assert_eq!(f.allows[0].rule, "expect_used");
         assert!(f.allows[0].has_reason);
         assert!(!f.allows[0].whole_file);
     }
 
     #[test]
     fn allow_file_directive_parses() {
-        let f = lex("// vsr-lint: allow-file(fs_io, reason = \"real disk store\")\n");
+        let f = lex("// vsr-lint: allow-file(expect_used, reason = \"startup code\")\n");
         assert!(f.allows[0].whole_file);
     }
 
     #[test]
     fn malformed_directive_is_reported() {
-        let f = lex("// vsr-lint: alow(unwrap_used)\n");
+        let f = lex("// vsr-lint: alow(expect_used)\n");
         assert_eq!(f.bad_directives, vec![1]);
+    }
+
+    #[test]
+    fn doc_comments_quoting_the_syntax_are_not_directives() {
+        let f =
+            lex("/// write `// vsr-lint: allow(rule)` above\n//! vsr-lint: nonsense\nfn f() {}");
+        assert!(f.allows.is_empty());
+        assert!(f.bad_directives.is_empty());
     }
 
     #[test]

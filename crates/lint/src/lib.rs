@@ -1,18 +1,27 @@
-//! `vsr-lint` — the workspace's static-analysis gate.
+//! `vsr-lint` — the project-specific half of the workspace's static checks.
 //!
-//! The deterministic simulator, nemesis shrinking, and SimDisk
-//! crash/recovery twin all assume `vsr-core` and friends are
-//! deterministic and I/O-free; nothing used to enforce that beyond
-//! review. This crate parses every configured crate with a small
+//! Clippy carries every per-file rule: determinism and sans-I/O through
+//! the disallowed lists in `clippy.toml`, exhaustive protocol matches
+//! through `wildcard_enum_match_arm`, error discipline through
+//! `unwrap_used` and `let_underscore_untyped`, and suppression hygiene
+//! through `allow_attributes` plus `#[expect(.., reason = "…")]`
+//! (DESIGN.md §10.1). This crate checks the three properties clippy
+//! cannot express:
+//!
+//! * `expect_used` — in a crate under error discipline (its
+//!   `[lints.clippy]` table sets `unwrap_used`), every `.expect(…)`
+//!   documents the invariant that makes it safe: `expect("invariant: …")`;
+//! * `dead_variant` — every variant of a handler enum (`Message`,
+//!   `Timer`) is constructed somewhere outside tests;
+//! * `lock_order_inversion` — no two functions in a crate take the same
+//!   pair of locks in opposite orders.
+//!
+//! It lexes every workspace member's `src/` with a small
 //! self-contained Rust lexer (the offline build environment rules out
-//! `syn`) plus an item-level parser, and enforces six rule families:
-//! four per-file token families — determinism, sans-I/O, protocol
-//! shape, error discipline — and two cross-file flow families —
-//! handler coverage and lock order. See [`rules`] for the rule catalog, [`flow`] for the flow
-//! passes, and DESIGN.md §10 for the rationale behind each rule.
-//!
-//! Run it as a binary (`cargo run -p vsr-lint -- --workspace`) or call
-//! [`run_workspace`] from tests.
+//! `syn`) plus an item-level parser. See [`rules`] for the rule catalog,
+//! [`flow`] for the cross-file passes, and DESIGN.md §10.2 for their
+//! approximations. Run it as a binary (`cargo run -p vsr-lint --
+//! --workspace`) or call [`run_workspace`] from tests.
 
 pub mod config;
 pub mod diag;
@@ -29,7 +38,7 @@ use std::collections::{BTreeMap, BTreeSet};
 use std::path::{Path, PathBuf};
 
 /// One analyzed file, kept around so flow findings can be merged with
-/// token findings before the file's suppressions are applied.
+/// per-file findings before the file's suppressions are applied.
 struct Analyzed {
     display: PathBuf,
     file: SourceFile,
@@ -38,152 +47,115 @@ struct Analyzed {
     raw: Vec<Diagnostic>,
 }
 
-/// Lint every crate named in `config`, rooted at `workspace_root`:
-/// per-file token rules for each crate's family list, then the
-/// cross-file flow rules from the `[flow]` section. Returns all
+/// Lint every workspace member rooted at `workspace_root`: the
+/// `invariant:` expect rule in each crate under error discipline, then
+/// the cross-file flow rules `config` enables. Returns all
 /// diagnostics; I/O or config-shape problems come back as `Err`
-/// strings — including a workspace member missing from the config
-/// (see [`check_membership`]).
+/// strings.
 pub fn run_workspace(workspace_root: &Path, config: &Config) -> Result<Vec<Diagnostic>, String> {
-    check_membership(workspace_root, config)?;
+    let flow_enabled = rules::expand_rules(&config.rules).map_err(|e| format!("[flow]: {e}"))?;
+    let root_manifest = read(&workspace_root.join("Cargo.toml"))?;
     let mut units: BTreeMap<String, Vec<Analyzed>> = BTreeMap::new();
-    for (name, entry) in &config.crates {
-        let enabled =
-            rules::expand_rules(&entry.rules).map_err(|e| format!("[crates.{name}]: {e}"))?;
-        let src_dir = workspace_root.join(&entry.path).join("src");
-        if !src_dir.is_dir() {
-            return Err(format!("[crates.{name}]: `{}` has no src/ directory", entry.path));
-        }
-        // An empty rule list means "enrolled but unchecked" — the
-        // membership gate is satisfied, the sources are not analyzed.
-        if entry.rules.is_empty() {
-            continue;
-        }
+    for (name, dir, manifest) in workspace_members(workspace_root)? {
+        let check_expect = denies_unwrap(&manifest, &root_manifest);
         let mut files = Vec::new();
-        collect_rs_files(&src_dir, &mut files).map_err(|e| format!("[crates.{name}]: {e}"))?;
+        collect_rs_files(&dir.join("src"), &mut files).map_err(|e| format!("{name}: {e}"))?;
         files.sort();
         let mut analyzed = Vec::new();
         for file in files {
-            let src =
-                std::fs::read_to_string(&file).map_err(|e| format!("{}: {e}", file.display()))?;
+            let src = read(&file)?;
             let display = file.strip_prefix(workspace_root).unwrap_or(&file).to_path_buf();
             let lexed = lexer::lex(&src);
             let excluded = lexer::test_regions(&lexed.tokens);
             let parsed = parse::parse(&lexed.tokens, &excluded);
-            let raw = rules::token_rules(
-                &display,
-                &lexed.tokens,
-                &excluded,
-                &parsed,
-                &enabled,
-                &config.watched_enums,
-            );
+            let raw = if check_expect {
+                rules::expect_rule(&display, &lexed.tokens, &excluded)
+            } else {
+                Vec::new()
+            };
             analyzed.push(Analyzed { display, file: lexed, excluded, parsed, raw });
         }
-        units.insert(name.clone(), analyzed);
+        units.insert(name, analyzed);
     }
 
-    if !config.flow.rules.is_empty() {
-        let flow_enabled =
-            rules::expand_rules(&config.flow.rules).map_err(|e| format!("[flow]: {e}"))?;
-        let flow_units: BTreeMap<String, Vec<flow::FlowFile>> = units
-            .iter()
-            .map(|(name, files)| {
-                let refs = files
-                    .iter()
-                    .map(|a| flow::FlowFile {
-                        display: &a.display,
-                        toks: &a.file.tokens,
-                        excluded: &a.excluded,
-                        parsed: &a.parsed,
-                    })
-                    .collect();
-                (name.clone(), refs)
-            })
-            .collect();
-        let flow_diags = flow::run(&config.flow, &flow_enabled, &flow_units)
-            .map_err(|e| format!("[flow]: {e}"))?;
-        drop(flow_units);
-        // Route each flow finding to its anchor file so that file's
-        // allow directives can suppress it (and count as used).
-        for d in flow_diags {
-            let mut routed = false;
-            for files in units.values_mut() {
-                if let Some(a) = files.iter_mut().find(|a| a.display == d.file) {
-                    a.raw.push(d.clone());
-                    routed = true;
-                    break;
-                }
-            }
-            if !routed {
+    let flow_units: BTreeMap<String, Vec<flow::FlowFile>> = units
+        .iter()
+        .map(|(name, files)| {
+            let refs = files
+                .iter()
+                .map(|a| flow::FlowFile {
+                    display: &a.display,
+                    toks: &a.file.tokens,
+                    excluded: &a.excluded,
+                    parsed: &a.parsed,
+                })
+                .collect();
+            (name.clone(), refs)
+        })
+        .collect();
+    let flow_diags =
+        flow::run(config, &flow_enabled, &flow_units).map_err(|e| format!("[flow]: {e}"))?;
+    drop(flow_units);
+    // Route each flow finding to its anchor file so that file's allow
+    // directives can suppress it (and count as used).
+    for d in flow_diags {
+        let anchor = units.values_mut().flatten().find(|a| a.display == d.file);
+        match anchor {
+            Some(a) => a.raw.push(d),
+            None => {
                 return Err(format!(
                     "[flow]: finding anchored outside the analyzed set: {}",
                     d.file.display()
-                ));
+                ))
             }
         }
     }
 
     let mut out = Vec::new();
-    for files in units.values_mut() {
-        for a in files.iter_mut() {
-            let raw = std::mem::take(&mut a.raw);
-            out.extend(rules::apply_suppressions(&a.display, &a.file, raw));
-        }
+    for a in units.values_mut().flatten() {
+        let raw = std::mem::take(&mut a.raw);
+        out.extend(rules::apply_suppressions(&a.display, &a.file, raw));
     }
     out.sort_by(|x, y| (&x.file, x.line, x.rule).cmp(&(&y.file, y.line, y.rule)));
     Ok(out)
 }
 
-/// Lint one standalone file with token rules *and* flow rules, the
-/// file standing in for every flow role (core, lock-order domain). This is what `vsr-lint FILE…` and the fixture
-/// tests run.
-pub fn lint_file(
-    display: &Path,
-    src: &str,
-    enabled: &BTreeSet<&'static str>,
-    watched_enums: &[String],
-) -> Vec<Diagnostic> {
+/// Lint one standalone file with the enabled rules, the file standing
+/// in for every flow role (core, lock-order domain). This is what
+/// `vsr-lint --rules … FILE…` and the fixture tests run.
+pub fn lint_file(display: &Path, src: &str, enabled: &BTreeSet<&'static str>) -> Vec<Diagnostic> {
     let lexed = lexer::lex(src);
     let excluded = lexer::test_regions(&lexed.tokens);
     let parsed = parse::parse(&lexed.tokens, &excluded);
-    let mut raw =
-        rules::token_rules(display, &lexed.tokens, &excluded, &parsed, enabled, watched_enums);
+    let mut raw = if enabled.contains("expect_used") {
+        rules::expect_rule(display, &lexed.tokens, &excluded)
+    } else {
+        Vec::new()
+    };
     raw.extend(flow::run_single_file(display, &lexed.tokens, &excluded, &parsed, enabled));
     rules::apply_suppressions(display, &lexed, raw)
 }
 
-/// Staleness gate: every workspace member (and the root package) must
-/// appear in `[crates.*]`, so a new crate cannot silently ship
-/// unenrolled — the mistake that required hand-enrolling vsr-net and
-/// vsr-snap. Crates the rules genuinely don't apply to are enrolled
-/// with `rules = []`.
-pub fn check_membership(workspace_root: &Path, config: &Config) -> Result<(), String> {
-    let members = workspace_members(workspace_root)?;
-    let missing: Vec<&str> =
-        members.iter().map(String::as_str).filter(|m| !config.crates.contains_key(*m)).collect();
-    if missing.is_empty() {
-        Ok(())
+/// Whether a crate is under error discipline: its `[lints.clippy]`
+/// table (or, for `[lints] workspace = true`, the root's
+/// `[workspace.lints.clippy]`) sets `unwrap_used` to anything but
+/// `allow`. The clippy lint table is the one place a crate enrolls in
+/// error discipline; the `invariant:` expect rule follows it.
+pub fn denies_unwrap(manifest: &str, root_manifest: &str) -> bool {
+    let level = if table_value(manifest, "lints", "workspace").as_deref() == Some("true") {
+        table_value(root_manifest, "workspace.lints.clippy", "unwrap_used")
     } else {
-        Err(format!(
-            "lint.toml is stale: workspace member(s) `{}` have no [crates.*] entry; enroll \
-             each (use `rules = []` to consciously opt a crate out)",
-            missing.join("`, `")
-        ))
-    }
+        table_value(manifest, "lints.clippy", "unwrap_used")
+    };
+    level.is_some_and(|l| l != "allow")
 }
 
-/// Package names of every workspace member plus the root package, read
-/// from Cargo.toml manifests. Understands the `"crates/*"` glob form
-/// the workspace actually uses plus plain paths.
-pub fn workspace_members(workspace_root: &Path) -> Result<Vec<String>, String> {
-    let manifest_path = workspace_root.join("Cargo.toml");
-    let manifest = std::fs::read_to_string(&manifest_path)
-        .map_err(|e| format!("{}: {e}", manifest_path.display()))?;
-    let mut names = Vec::new();
-    if let Some(name) = package_name(&manifest) {
-        names.push(name);
-    }
+/// Every workspace member (the root package first, if there is one) as
+/// (package name, directory, manifest text). Understands the
+/// `"crates/*"` glob form the workspace uses plus plain paths.
+pub fn workspace_members(workspace_root: &Path) -> Result<Vec<(String, PathBuf, String)>, String> {
+    let manifest = read(&workspace_root.join("Cargo.toml"))?;
+    let mut dirs = vec![workspace_root.to_path_buf()];
     for entry in members_array(&manifest) {
         if let Some(prefix) = entry.strip_suffix("/*") {
             let dir = workspace_root.join(prefix);
@@ -193,35 +165,36 @@ pub fn workspace_members(workspace_root: &Path) -> Result<Vec<String>, String> {
                 .filter(|p| p.join("Cargo.toml").is_file())
                 .collect();
             subdirs.sort();
-            for sub in subdirs {
-                let m = std::fs::read_to_string(sub.join("Cargo.toml"))
-                    .map_err(|e| format!("{}: {e}", sub.display()))?;
-                names.extend(package_name(&m));
-            }
+            dirs.extend(subdirs);
         } else {
-            let m_path = workspace_root.join(&entry).join("Cargo.toml");
-            let m = std::fs::read_to_string(&m_path)
-                .map_err(|e| format!("{}: {e}", m_path.display()))?;
-            names.extend(package_name(&m));
+            dirs.push(workspace_root.join(&entry));
         }
     }
-    Ok(names)
+    let mut members = Vec::new();
+    for dir in dirs {
+        let manifest = read(&dir.join("Cargo.toml"))?;
+        if let Some(name) = table_value(&manifest, "package", "name") {
+            members.push((name, dir, manifest));
+        }
+    }
+    Ok(members)
 }
 
-/// The `[package] name` of one Cargo.toml, if it has a package section.
-fn package_name(manifest: &str) -> Option<String> {
-    let mut in_package = false;
+/// The value of `key` in the `[table]` section of a Cargo.toml, with
+/// surrounding quotes stripped.
+fn table_value(manifest: &str, table: &str, key: &str) -> Option<String> {
+    let header = format!("[{table}]");
+    let mut in_table = false;
     for line in manifest.lines() {
         let line = line.trim();
         if line.starts_with('[') {
-            in_package = line == "[package]";
+            in_table = line == header;
             continue;
         }
-        if in_package {
-            if let Some(value) = line.strip_prefix("name") {
-                let value = value.trim_start();
-                if let Some(value) = value.strip_prefix('=') {
-                    return Some(value.trim().trim_matches('"').to_string());
+        if in_table {
+            if let Some((k, v)) = line.split_once('=') {
+                if k.trim() == key {
+                    return Some(v.trim().trim_matches('"').to_string());
                 }
             }
         }
@@ -270,14 +243,16 @@ pub fn load_config(start: &Path) -> Result<(PathBuf, Config), String> {
     while let Some(d) = dir {
         let candidate = d.join("lint.toml");
         if candidate.is_file() {
-            let text = std::fs::read_to_string(&candidate)
-                .map_err(|e| format!("{}: {e}", candidate.display()))?;
-            let cfg = Config::parse(&text).map_err(|e| e.to_string())?;
+            let cfg = Config::parse(&read(&candidate)?).map_err(|e| e.to_string())?;
             return Ok((d, cfg));
         }
         dir = d.parent().map(Path::to_path_buf);
     }
     Err(format!("no lint.toml found from {} upward", start.display()))
+}
+
+fn read(path: &Path) -> Result<String, String> {
+    std::fs::read_to_string(path).map_err(|e| format!("{}: {e}", path.display()))
 }
 
 fn collect_rs_files(dir: &Path, out: &mut Vec<PathBuf>) -> Result<(), String> {
@@ -292,4 +267,21 @@ fn collect_rs_files(dir: &Path, out: &mut Vec<PathBuf>) -> Result<(), String> {
         }
     }
     Ok(())
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn unwrap_lint_level_decides_error_discipline() {
+        let root = "[workspace.lints.clippy]\ntodo = \"deny\"\n";
+        assert!(denies_unwrap("[lints.clippy]\nunwrap_used = \"deny\"\n", root));
+        assert!(denies_unwrap("[lints.clippy]\nunwrap_used = \"warn\"\n", root));
+        assert!(!denies_unwrap("[lints.clippy]\nunwrap_used = \"allow\"\n", root));
+        assert!(!denies_unwrap("[lints.clippy]\ntodo = \"deny\"\n", root));
+        assert!(!denies_unwrap("[lints]\nworkspace = true\n", root));
+        let strict = "[workspace.lints.clippy]\nunwrap_used = \"deny\"\n";
+        assert!(denies_unwrap("[lints]\nworkspace = true\n", strict));
+    }
 }

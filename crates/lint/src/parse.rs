@@ -3,8 +3,8 @@
 //! The flow rules (handler coverage, lock order) need more than token
 //! patterns: which enum variants exist, which tokens sit in pattern
 //! position, where function bodies begin and end. This module extracts
-//! exactly that — items, match arms, pattern regions — and nothing
-//! more; it is not an expression parser and never needs to be one.
+//! exactly that — items and pattern regions — and nothing more; it is
+//! not an expression parser and never needs to be one.
 //!
 //! Pattern position is the load-bearing concept: `Message::Prepare` in
 //! a match arm, a `let`/`if let` destructure, a `for` binding, or the
@@ -36,27 +36,6 @@ pub struct FnDef {
     pub body: (usize, usize),
 }
 
-/// One parsed match arm: its pattern token range (guard stripped) and
-/// the line the pattern starts on.
-#[derive(Debug)]
-pub struct Arm {
-    /// Half-open token index range of the pattern.
-    pub pat: (usize, usize),
-    /// 1-based line the pattern starts on.
-    pub line: u32,
-    /// The arm carries an `if` guard.
-    pub guarded: bool,
-}
-
-/// One `match` expression.
-#[derive(Debug)]
-pub struct MatchExpr {
-    /// Inside a test region.
-    pub excluded: bool,
-    /// The arms, in source order.
-    pub arms: Vec<Arm>,
-}
-
 /// Everything the flow rules need from one file.
 #[derive(Debug, Default)]
 pub struct ParsedFile {
@@ -65,8 +44,6 @@ pub struct ParsedFile {
     /// Function items with bodies, in source order (nested functions
     /// appear after their parent; ranges may overlap).
     pub fns: Vec<FnDef>,
-    /// Match expressions, in source order.
-    pub matches: Vec<MatchExpr>,
     /// Per token: does it sit in pattern position (match arm pattern,
     /// `let`/`if let`/`while let` destructure, `for` binding, or the
     /// pattern argument of `matches!`)?
@@ -95,11 +72,8 @@ pub fn parse(toks: &[Tok], excluded: &[bool]) -> ParsedFile {
             // Keep scanning inside the body: nested items, matches,
             // and pattern regions are found by the same linear walk.
         } else if t.is_ident("match") {
-            if let Some(arms) = parse_match_arms(toks, i) {
-                for arm in &arms {
-                    mark(&mut out.pattern, arm.pat.0, arm.pat.1);
-                }
-                out.matches.push(MatchExpr { excluded: excluded[i], arms });
+            for (s, e) in parse_match_arms(toks, i).unwrap_or_default() {
+                mark(&mut out.pattern, s, e);
             }
         } else if t.is_ident("matches") && matches!(toks.get(i + 1), Some(x) if x.is_punct("!")) {
             if let Some((s, e)) = matches_macro_pattern(toks, i) {
@@ -226,9 +200,10 @@ fn parse_fn(toks: &[Tok], i: usize, excluded: bool) -> Option<FnDef> {
     Some(FnDef { name, excluded, body: (open, close) })
 }
 
-/// Parse the arms of the `match` whose keyword is at index `i`.
-/// Returns None when `i` does not begin a well-formed match expression.
-pub fn parse_match_arms(toks: &[Tok], i: usize) -> Option<Vec<Arm>> {
+/// The pattern token ranges (half-open, guard stripped) of the arms of
+/// the `match` whose keyword is at index `i`. Returns None when `i`
+/// does not begin a well-formed match expression.
+fn parse_match_arms(toks: &[Tok], i: usize) -> Option<Vec<(usize, usize)>> {
     // Scrutinee: everything up to the first `{` at bracket depth 0.
     let mut j = i + 1;
     let mut depth = 0i32;
@@ -259,7 +234,7 @@ pub fn parse_match_arms(toks: &[Tok], i: usize) -> Option<Vec<Arm>> {
     let mut d = 1i32; // inside the match braces
     let mut state = State::Pat;
     let mut pat_start = j + 1;
-    let mut guarded = false;
+    let mut guard: Option<usize> = None; // index of the arm's `if`
     let mut body_first = false; // next Body token is the body's first
     let mut body_is_block = false; // body began with `{` (may omit the comma)
     let mut k = j + 1;
@@ -269,13 +244,12 @@ pub fn parse_match_arms(toks: &[Tok], i: usize) -> Option<Vec<Arm>> {
         match state {
             State::Pat => {
                 if t.is_punct("=>") && d == 1 {
-                    arms.push(Arm { pat: (pat_start, k), line: toks[pat_start].line, guarded });
-                    guarded = false;
+                    arms.push((pat_start, guard.take().unwrap_or(k)));
                     state = State::Body;
                     body_first = true;
                     body_is_block = false;
-                } else if t.is_ident("if") && d == 1 {
-                    guarded = true;
+                } else if t.is_ident("if") && d == 1 && guard.is_none() {
+                    guard = Some(k);
                 } else if t.is_punct("}") && d == 1 {
                     break; // trailing comma then close
                 }
@@ -326,15 +300,6 @@ pub fn parse_match_arms(toks: &[Tok], i: usize) -> Option<Vec<Arm>> {
             }
         }
         k += 1;
-    }
-    // Guards were flagged but their tokens remain inside `pat`; narrow
-    // each guarded pattern to the tokens before its `if`.
-    for arm in &mut arms {
-        if arm.guarded {
-            if let Some(off) = toks[arm.pat.0..arm.pat.1].iter().position(|t| t.is_ident("if")) {
-                arm.pat.1 = arm.pat.0 + off;
-            }
-        }
     }
     Some(arms)
 }
@@ -459,7 +424,6 @@ mod tests {
     fn match_arm_patterns_are_marked() {
         let src = "fn f(m: Message) { match m { Message::Call { to, .. } => go(to), other => Message::Drop(other), } }";
         let (toks, p) = parsed(src);
-        assert_eq!(p.matches.len(), 1);
         // `Message` in the arm pattern is pattern position…
         let pat_use = toks
             .iter()

@@ -6,16 +6,16 @@ pub fn primary_id(primary: Option<u32>) -> u32 {
     primary.expect("invariant: a formed view always has a primary")
 }
 
-pub fn boot_entropy() -> u64 {
-    // vsr-lint: allow(thread_rng, reason = "fixture: demonstrates a reasoned suppression")
-    seed_from(thread_rng())
+pub fn bind(addr: Result<u32, String>) -> u32 {
+    // vsr-lint: allow(expect_used, reason = "fixture: demonstrates a reasoned suppression")
+    addr.expect("startup misconfiguration")
 }
 
 #[cfg(test)]
 mod tests {
     #[test]
-    fn unwrap_is_fine_in_tests() {
+    fn expect_is_fine_in_tests() {
         let x: Option<u32> = Some(1);
-        assert_eq!(x.unwrap(), 1);
+        assert_eq!(x.expect("present"), 1);
     }
 }

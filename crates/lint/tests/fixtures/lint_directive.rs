@@ -2,5 +2,5 @@
 // allow below suppresses nothing, and stale suppressions are findings
 // in their own right.
 
-// vsr-lint: allow(unwrap_used, reason = "stale: the unwrap this covered is gone")
+// vsr-lint: allow(expect_used, reason = "stale: the expect this covered is gone")
 pub fn nothing_to_suppress() {}

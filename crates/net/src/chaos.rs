@@ -26,8 +26,12 @@
 //! yields a reproducible fault *pattern* (thread interleaving still
 //! varies, as it does on a real network).
 
-// vsr-lint: allow-file(net_io, reason = "the chaos proxy forwards real sockets by design; it exists to attack the transport layer")
-// vsr-lint: allow-file(os_thread, reason = "pump threads shuttle bytes between two live sockets; nothing here holds protocol state")
+#![expect(
+    clippy::disallowed_types,
+    clippy::disallowed_methods,
+    reason = "the chaos proxy forwards real sockets by design to attack the transport layer; its \
+              pump threads shuttle bytes between two live sockets and hold no protocol state"
+)]
 
 use std::io::{self, Read, Write};
 use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream};

@@ -24,7 +24,7 @@
 //! * [`socket`] — [`Endpoint`]: the I/O edge. One accept thread, one
 //!   reader thread per inbound connection, one writer thread per peer
 //!   link. The only module that touches `std::net` (and says so to
-//!   vsr-lint).
+//!   clippy with a reasoned `#![expect(clippy::disallowed_…)]`).
 //! * [`chaos`] — [`ChaosProxy`]: a toxiproxy-style byte forwarder that
 //!   injects latency, partitions, loss, corruption, and slow closes on
 //!   command, so nemesis fault classes run against real sockets.

@@ -20,9 +20,13 @@
 //! network. All sleeps and deadline checks poll the shutdown flag, so
 //! teardown completes in a bounded couple hundred milliseconds.
 
-// vsr-lint: allow-file(net_io, reason = "this module IS the transport; sockets live here so every other crate stays sans-I/O")
-// vsr-lint: allow-file(os_thread, reason = "accept/reader/writer threads are the runtime edge; protocol state stays in the sans-I/O core")
-// vsr-lint: allow-file(wall_clock, reason = "read deadlines and reconnect backoff are measured against real time by nature")
+#![expect(
+    clippy::disallowed_types,
+    clippy::disallowed_methods,
+    reason = "this module IS the transport: sockets live here so every other crate stays sans-I/O; \
+              accept/reader/writer threads are the runtime edge while protocol state stays in the \
+              sans-I/O core; read deadlines and reconnect backoff are measured against real time"
+)]
 
 use std::collections::BTreeMap;
 use std::io::{self, Read, Write};

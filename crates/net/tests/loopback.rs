@@ -2,6 +2,11 @@
 //! endpoint-to-endpoint delivery, reconnection after an endpoint dies,
 //! bounded-queue overflow, half-open detection, and every chaos-proxy
 //! toxic observable from the transport counters.
+#![expect(
+    clippy::disallowed_types,
+    clippy::disallowed_methods,
+    reason = "these tests drive the transport over real loopback sockets, threads and deadlines"
+)]
 
 use std::collections::BTreeMap;
 use std::io::Write;

@@ -373,6 +373,10 @@ mod tests {
     }
 
     #[test]
+    #[expect(
+        clippy::wildcard_enum_match_arm,
+        reason = "every other observation must answer None, which the assert checks"
+    )]
     fn only_force_observations_carry_their_own_viewstamp() {
         let mut m = Metrics::default();
         for obs in every_observation() {

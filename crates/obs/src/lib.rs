@@ -29,8 +29,8 @@
 //!   embed.
 //!
 //! No dependencies beyond `vsr-core` (for the id types), no I/O, no
-//! wall-clock reads: the crate is enrolled in the `determinism` and
-//! `sans_io` lint families.
+//! wall-clock reads: the workspace's disallowed determinism/sans-I/O
+//! list in `clippy.toml` applies here.
 
 #![warn(missing_docs)]
 #![warn(missing_debug_implementations)]

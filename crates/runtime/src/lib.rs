@@ -380,7 +380,11 @@ impl CohortThread {
             // everything this pass appended.
             if let Some((gate, wake)) = &self.group {
                 if gate.is_dirty() {
-                    // vsr-lint: allow(discarded_result, reason = "a full channel means a wake is already pending; a closed one means the flusher died and its SyncFailed is in the mailbox")
+                    #[expect(
+                        clippy::let_underscore_untyped,
+                        reason = "a full channel means a wake is already pending; a closed one \
+                                  means the flusher died and its SyncFailed is in the mailbox"
+                    )]
                     let _ = wake.try_send(());
                 }
             }
@@ -429,7 +433,10 @@ impl CohortThread {
             Effect::TxnResult { req_id, outcome, .. } => {
                 self.req_t0.remove(&req_id);
                 if let Some(reply) = self.replies.remove(&req_id) {
-                    // vsr-lint: allow(discarded_result, reason = "the submitter may have timed out and dropped its receiver")
+                    #[expect(
+                        clippy::let_underscore_untyped,
+                        reason = "the submitter may have timed out and dropped its receiver"
+                    )]
                     let _ = reply.send(outcome);
                 }
             }
@@ -569,7 +576,11 @@ fn flusher_loop(store: &SharedStore, mailbox: &Mailbox, wake: &Receiver<()>) {
             let (handle, covered, upto) = match job {
                 Ok(job) => job,
                 Err(err) => {
-                    // vsr-lint: allow(discarded_result, reason = "a closed mailbox means the cohort is already gone; there is nobody left to tell")
+                    #[expect(
+                        clippy::let_underscore_untyped,
+                        reason = "a closed mailbox means the cohort is already gone; there is \
+                                  nobody left to tell"
+                    )]
                     let _ = mailbox.push_critical(Inbox::SyncFailed { err });
                     return;
                 }
@@ -590,7 +601,11 @@ fn flusher_loop(store: &SharedStore, mailbox: &Mailbox, wake: &Receiver<()>) {
                         }
                     }
                     Err(err) => {
-                        // vsr-lint: allow(discarded_result, reason = "a closed mailbox means the cohort is already gone; there is nobody left to tell")
+                        #[expect(
+                            clippy::let_underscore_untyped,
+                            reason = "a closed mailbox means the cohort is already gone; there is \
+                                      nobody left to tell"
+                        )]
                         let _ = mailbox.push_critical(Inbox::SyncFailed { err });
                         return;
                     }
@@ -1156,7 +1171,11 @@ impl Cluster {
             let stable = *handle.stable.lock();
             handle.tx.push_critical(Inbox::Stop);
             handle.tx.close();
-            // vsr-lint: allow(discarded_result, reason = "a crash-simulating thread may panic on its way down; the join result is the point of the crash")
+            #[expect(
+                clippy::let_underscore_untyped,
+                reason = "a crash-simulating thread may panic on its way down; the join result is \
+                          the point of the crash"
+            )]
             let _ = handle.join.join();
             self.stable_store.lock().insert(mid, stable);
         }
@@ -1216,7 +1235,11 @@ impl Cluster {
             if let Some(handle) = handles.remove(&mid) {
                 handle.tx.push_critical(Inbox::Stop);
                 handle.tx.close();
-                // vsr-lint: allow(discarded_result, reason = "join failure at shutdown means the thread already died; there is nothing left to clean up")
+                #[expect(
+                    clippy::let_underscore_untyped,
+                    reason = "join failure at shutdown means the thread already died; there is \
+                              nothing left to clean up"
+                )]
                 let _ = handle.join.join();
             }
         }
@@ -1255,7 +1278,9 @@ mod tests {
             TxnOutcome::Committed { results } => {
                 assert_eq!(counter::decode_value(&results[0]).unwrap(), 5);
             }
-            other => panic!("expected commit, got {other:?}"),
+            other @ (TxnOutcome::Aborted { .. } | TxnOutcome::Unresolved) => {
+                panic!("expected commit, got {other:?}")
+            }
         }
         c.shutdown();
     }
@@ -1348,7 +1373,7 @@ mod tests {
         // the new incarnation must re-form a view retaining every
         // committed transaction.
         let dir = std::env::temp_dir().join(format!("vsr-durable-test-{}", std::process::id()));
-        let _ = std::fs::remove_dir_all(&dir);
+        let _: std::io::Result<()> = std::fs::remove_dir_all(&dir);
         let build = || {
             ClusterBuilder::new()
                 .durable_files(&dir, FsyncPolicy::EveryRecord)
@@ -1382,7 +1407,7 @@ mod tests {
         }
         assert_eq!(committed_value, Some(4), "restarted group kept all committed state");
         c.shutdown();
-        let _ = std::fs::remove_dir_all(&dir);
+        let _: std::io::Result<()> = std::fs::remove_dir_all(&dir);
     }
 
     #[test]

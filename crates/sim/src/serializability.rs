@@ -138,6 +138,10 @@ fn check_leased_reads(observations: &[(u64, Observation)]) -> Result<(), Violati
     let mut seen: BTreeSet<(GroupId, Aid)> = BTreeSet::new();
     let mut latest: BTreeMap<(GroupId, ObjectId), u64> = BTreeMap::new();
     for (_, obs) in observations {
+        #[expect(
+            clippy::wildcard_enum_match_arm,
+            reason = "only commits and leased reads move the version counters"
+        )]
         match obs {
             Observation::TxnCommitted { group, aid, accesses, .. }
                 if seen.insert((*group, *aid)) =>

@@ -341,6 +341,11 @@ impl World {
                 // Nemesis chunk corruption: flip a payload byte of an
                 // in-flight snapshot chunk (the per-chunk CRC must catch
                 // it; the fetcher re-requests the index).
+                #[expect(
+                    clippy::wildcard_enum_match_arm,
+                    reason = "only snapshot chunks are corrupted; every other message passes \
+                              through"
+                )]
                 let msg = match msg {
                     Message::Chunk { digest, index, total, crc, mut payload }
                         if self.corrupt_chunks_budget > 0 =>
@@ -1049,6 +1054,10 @@ impl World {
         let mut observed: BTreeSet<(GroupId, Aid)> = BTreeSet::new();
         let mut leased: BTreeSet<Aid> = BTreeSet::new();
         for (_, obs) in &self.observations {
+            #[expect(
+                clippy::wildcard_enum_match_arm,
+                reason = "only commits and leased reads bear on lost commits"
+            )]
             match obs {
                 Observation::TxnCommitted { group, aid, .. } => {
                     observed.insert((*group, *aid));
@@ -1167,7 +1176,7 @@ impl World {
                 let cohort = &self.cohorts[&mid];
                 match cohort.status() {
                     Status::Active => live_views.push((mid, cohort.cur_viewid())),
-                    stuck => {
+                    stuck @ (Status::ViewManager | Status::Underling) => {
                         return Err(fail(
                             group,
                             format!(

@@ -8,7 +8,13 @@
 //! everything before a checkpoint is re-derivable from it, so the GC is
 //! safe once the checkpoint frame is fsynced.
 
-// vsr-lint: allow-file(fs_io, reason = "FileStore is the real-disk half of the Store trait; everything deterministic lives in sim.rs")
+#![expect(
+    clippy::disallowed_types,
+    clippy::disallowed_methods,
+    reason = "FileStore is the real-disk half of the Store trait; everything deterministic \
+              lives in sim.rs"
+)]
+
 use std::fs::{self, File, OpenOptions};
 use std::io::{Read, Write};
 use std::path::{Path, PathBuf};

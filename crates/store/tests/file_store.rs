@@ -1,6 +1,11 @@
 //! `FileStore` integration tests against a real temp directory: reopen
 //! round-trips, torn tails across process "lives", mid-segment
 //! corruption, checkpoint rotation + GC, and fsync accounting.
+#![expect(
+    clippy::disallowed_types,
+    clippy::disallowed_methods,
+    reason = "these tests exercise FileStore against a real temp directory"
+)]
 
 use std::fs::{self, OpenOptions};
 use std::io::Write;
