@@ -1,11 +1,10 @@
-//! `lint.toml` — which crates play which role in the cross-file rules.
+//! `lint.toml` — which crates play which role in the cross-file rules —
+//! and the one-line TOML values it shares with the Cargo.toml lookups.
 //!
 //! The parser handles the small TOML subset the config actually uses
-//! (one `[flow]` table, string and string-array values, `#` comments);
-//! anything else is a hard error so a typo cannot silently drop a rule
-//! from the gate.
-
-use std::fmt;
+//! (one `[flow]` table, one-line string and string-array values, `#`
+//! comment lines); anything else is a hard error so a typo cannot
+//! silently drop a rule from the gate.
 
 /// The parsed `[flow]` table (see `crate::flow`).
 #[derive(Debug, Clone, Default)]
@@ -21,112 +20,53 @@ pub struct Config {
     pub lock_order: Vec<String>,
 }
 
-/// A parse failure with its line.
-#[derive(Debug)]
-pub struct ConfigError {
-    /// 1-based line of the offending entry.
-    pub line: usize,
-    /// What went wrong.
-    pub message: String,
-}
-
-impl fmt::Display for ConfigError {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(f, "lint.toml:{}: {}", self.line, self.message)
-    }
-}
-
 impl Config {
-    /// Parse the configuration text.
-    pub fn parse(src: &str) -> Result<Config, ConfigError> {
+    /// Parse the configuration text. Errors name the offending line.
+    pub fn parse(src: &str) -> Result<Config, String> {
         let mut cfg = Config::default();
-        let mut section: Option<String> = None;
-        let lines: Vec<&str> = src.lines().collect();
-        let mut idx = 0usize;
-        while idx < lines.len() {
-            let lineno = idx + 1;
-            let mut line = strip_comment(lines[idx]).trim().to_string();
-            // Multi-line array: accumulate until the closing bracket.
-            while line.contains('[')
-                && !line.starts_with('[')
-                && !line.contains(']')
-                && idx + 1 < lines.len()
-            {
-                idx += 1;
-                line.push(' ');
-                line.push_str(strip_comment(lines[idx]).trim());
-            }
-            idx += 1;
-            if line.is_empty() {
+        let mut in_flow = false;
+        for (idx, line) in src.lines().enumerate() {
+            let line = line.trim();
+            if line.is_empty() || line.starts_with('#') {
                 continue;
             }
-            if let Some(name) = line.strip_prefix('[').and_then(|l| l.strip_suffix(']')) {
-                section = Some(name.trim().to_string());
+            if line == "[flow]" {
+                in_flow = true;
                 continue;
             }
-            let Some((key, value)) = line.split_once('=') else {
-                return Err(ConfigError {
-                    line: lineno,
-                    message: format!("expected `key = value` or `[section]`, got `{line}`"),
-                });
+            let at = |e: String| format!("lint.toml:{}: {e}", idx + 1);
+            let Some((key, value)) = line.split_once('=').filter(|_| in_flow) else {
+                return Err(at(format!("expected `key = value` under [flow], got `{line}`")));
             };
-            let (key, value) = (key.trim(), value.trim());
-            if section.as_deref() != Some("flow") {
-                return Err(ConfigError {
-                    line: lineno,
-                    message: format!("key `{key}` outside the [flow] section"),
-                });
-            }
-            match key {
-                "rules" => cfg.rules = parse_string_array(value, lineno)?,
-                "handler_enums" => cfg.handler_enums = parse_string_array(value, lineno)?,
-                "core" => cfg.core = parse_string(value, lineno)?,
-                "lock_order" => cfg.lock_order = parse_string_array(value, lineno)?,
-                other => {
-                    return Err(ConfigError {
-                        line: lineno,
-                        message: format!("unknown flow key `{other}`"),
-                    })
-                }
+            let value = value.trim();
+            match key.trim() {
+                "rules" => cfg.rules = string_array(value).map_err(at)?,
+                "handler_enums" => cfg.handler_enums = string_array(value).map_err(at)?,
+                "core" => cfg.core = string(value).map_err(at)?,
+                "lock_order" => cfg.lock_order = string_array(value).map_err(at)?,
+                other => return Err(at(format!("unknown flow key `{other}`"))),
             }
         }
         Ok(cfg)
     }
 }
 
-fn strip_comment(line: &str) -> &str {
-    // `#` only starts a comment outside quotes; the config's values
-    // never contain `#`, so a simple scan suffices.
-    let mut in_str = false;
-    for (i, c) in line.char_indices() {
-        match c {
-            '"' => in_str = !in_str,
-            '#' if !in_str => return &line[..i],
-            _ => {}
-        }
-    }
-    line
+/// A quoted string value, unquoted.
+pub fn string(value: &str) -> Result<String, String> {
+    value
+        .strip_prefix('"')
+        .and_then(|v| v.strip_suffix('"'))
+        .map(str::to_string)
+        .ok_or_else(|| format!("expected a quoted string, got `{value}`"))
 }
 
-fn parse_string(value: &str, line: usize) -> Result<String, ConfigError> {
-    value.strip_prefix('"').and_then(|v| v.strip_suffix('"')).map(str::to_string).ok_or_else(|| {
-        ConfigError { line, message: format!("expected a quoted string, got `{value}`") }
-    })
-}
-
-fn parse_string_array(value: &str, line: usize) -> Result<Vec<String>, ConfigError> {
-    let inner = value.strip_prefix('[').and_then(|v| v.strip_suffix(']')).ok_or_else(|| {
-        ConfigError { line, message: format!("expected an array, got `{value}`") }
-    })?;
-    let mut out = Vec::new();
-    for part in inner.split(',') {
-        let part = part.trim();
-        if part.is_empty() {
-            continue;
-        }
-        out.push(parse_string(part, line)?);
-    }
-    Ok(out)
+/// A one-line array of quoted strings.
+pub fn string_array(value: &str) -> Result<Vec<String>, String> {
+    let inner = value
+        .strip_prefix('[')
+        .and_then(|v| v.strip_suffix(']'))
+        .ok_or_else(|| format!("expected a one-line array, got `{value}`"))?;
+    inner.split(',').map(str::trim).filter(|p| !p.is_empty()).map(string).collect()
 }
 
 #[cfg(test)]
@@ -138,7 +78,7 @@ mod tests {
         let cfg = Config::parse(
             "# comment\n[flow]\nrules = [\"handler_coverage\", \"lock_order\"]\n\
              handler_enums = [\"Message\", \"Timer\"]\ncore = \"vsr-core\"\n\
-             lock_order = [\"vsr-runtime\", \"vsr-net\"]\n",
+             lock_order = [\"vsr-runtime\", \"vsr-net\",]\n",
         )
         .expect("parses");
         assert_eq!(cfg.rules, ["handler_coverage", "lock_order"]);
@@ -148,25 +88,17 @@ mod tests {
     }
 
     #[test]
-    fn multi_line_arrays_parse() {
-        let cfg = Config::parse(
-            "[flow]\nlock_order = [\n    \"vsr-runtime\",  # trailing comment\n    \"vsr-net\",\n]\n",
-        )
-        .expect("parses");
-        assert_eq!(cfg.lock_order, ["vsr-runtime", "vsr-net"]);
-    }
-
-    #[test]
     fn junk_is_an_error() {
         assert!(Config::parse("wat\n").is_err());
         assert!(Config::parse("[flow]\ncore = unquoted\n").is_err());
+        assert!(Config::parse("[flow]\nlock_order = [\n    \"vsr-net\",\n]\n").is_err());
         let err = Config::parse("[crates.x]\npath = \"x\"\n").expect_err("rejects");
-        assert!(err.message.contains("outside the [flow] section"));
+        assert!(err.contains("lint.toml:1:") && err.contains("under [flow]"), "{err}");
     }
 
     #[test]
     fn unknown_flow_key_is_an_error() {
         let err = Config::parse("[flow]\ncores = \"x\"\n").expect_err("rejects");
-        assert!(err.message.contains("unknown flow key"));
+        assert!(err.contains("unknown flow key"));
     }
 }

@@ -1,7 +1,7 @@
-//! Diagnostics: rustc-style text rendering.
+//! Diagnostics: rustc-style text rendering and `--json` output.
 
 use std::fmt::Write as _;
-use std::path::PathBuf;
+use std::path::{Path, PathBuf};
 
 /// One lint finding.
 #[derive(Debug, Clone)]
@@ -19,6 +19,17 @@ pub struct Diagnostic {
 }
 
 impl Diagnostic {
+    /// A finding of `rule` at `path:line`.
+    pub fn new(
+        path: &Path,
+        line: u32,
+        rule: &'static str,
+        message: String,
+        note: &'static str,
+    ) -> Diagnostic {
+        Diagnostic { rule, file: path.to_path_buf(), line, message, note }
+    }
+
     /// Render in rustc's `error[code]: message` shape.
     pub fn render(&self) -> String {
         let mut s = String::new();
@@ -34,6 +45,35 @@ impl Diagnostic {
         );
         s
     }
+
+    /// Render as one JSON object (no external JSON dependency, so the
+    /// escaping lives here).
+    pub fn render_json(&self) -> String {
+        format!(
+            "{{\"rule\":\"{}\",\"file\":\"{}\",\"line\":{},\"message\":\"{}\"}}",
+            escape(self.rule),
+            escape(&self.file.display().to_string()),
+            self.line,
+            escape(&self.message)
+        )
+    }
+}
+
+fn escape(s: &str) -> String {
+    let mut out = String::with_capacity(s.len());
+    for c in s.chars() {
+        match c {
+            '"' => out.push_str("\\\""),
+            '\\' => out.push_str("\\\\"),
+            '\n' => out.push_str("\\n"),
+            '\t' => out.push_str("\\t"),
+            c if (c as u32) < 0x20 => {
+                let _ = write!(out, "\\u{:04x}", c as u32);
+            }
+            c => out.push(c),
+        }
+    }
+    out
 }
 
 #[cfg(test)]
@@ -41,15 +81,16 @@ mod tests {
     use super::*;
 
     #[test]
+    fn json_escapes_quotes() {
+        let message = "call to `expect(\"x\")`".to_string();
+        let d = Diagnostic::new(Path::new("a.rs"), 3, "expect_used", message, "");
+        assert!(d.render_json().contains("\\\"x\\\""));
+    }
+
+    #[test]
     fn render_has_rustc_shape() {
-        let d = Diagnostic {
-            rule: "expect_used",
-            file: PathBuf::from("crates/core/src/x.rs"),
-            line: 12,
-            message: "m".to_string(),
-            note: "n",
-        };
-        let r = d.render();
+        let path = Path::new("crates/core/src/x.rs");
+        let r = Diagnostic::new(path, 12, "expect_used", "m".to_string(), "n").render();
         assert!(r.starts_with("error[vsr-lint::expect_used]: m"));
         assert!(r.contains("--> crates/core/src/x.rs:12"));
         assert!(r.contains("= note: n"));

@@ -5,11 +5,13 @@
 //!
 //! * `handler_coverage` — `dead_variant`: every variant of a handler
 //!   enum (`Message`, `Timer`) must be constructed somewhere outside
-//!   tests. A variant nobody builds is dead protocol surface. (The
+//!   tests, in a crate under the determinism list. A variant nobody
+//!   builds is dead protocol surface, and one only an I/O harness
+//!   builds is never replayed by the simulator. (The
 //!   other half — every variant reaches a core handler — is rustc's
 //!   exhaustiveness check: vsr-core's dispatch matches name every
-//!   variant, and clippy's `wildcard_enum_match_arm` keeps them free of
-//!   catch-all arms.)
+//!   variant, and clippy's wildcard lints keep them free of catch-all
+//!   arms.)
 //! * `lock_order` — `lock_order_inversion`: per crate, build each
 //!   function's guard-acquisition sequence from `.lock()` call sites
 //!   and flag lock pairs taken in opposite orders by two functions.
@@ -36,6 +38,10 @@ pub struct FlowFile<'a> {
     pub excluded: &'a [bool],
     /// Item-level parse.
     pub parsed: &'a ParsedFile,
+    /// Whether `Enum::Variant` paths here count as constructions for
+    /// `dead_variant`: false in the I/O harness crates (those that opt
+    /// out of clippy's disallowed lists).
+    pub counts_constructions: bool,
 }
 
 /// Run the enabled flow rules over one standalone file (fixture tests,
@@ -55,7 +61,10 @@ pub fn run_single_file(
         lock_order: vec![String::new()],
     };
     let mut units = BTreeMap::new();
-    units.insert(String::new(), vec![FlowFile { display, toks, excluded, parsed }]);
+    units.insert(
+        String::new(),
+        vec![FlowFile { display, toks, excluded, parsed, counts_constructions: true }],
+    );
     // A standalone file can never fail role validation.
     run(&cfg, enabled, &units).unwrap_or_default()
 }
@@ -93,16 +102,6 @@ fn role<'u, 'a>(
         .get(name)
         .map(Vec::as_slice)
         .ok_or_else(|| format!("{key}: crate `{name}` is not a workspace member"))
-}
-
-fn mk(
-    path: &Path,
-    line: u32,
-    rule: &'static str,
-    message: String,
-    note: &'static str,
-) -> Diagnostic {
-    Diagnostic { rule, file: path.to_path_buf(), line, message, note }
 }
 
 /// Find the (non-test) definition of `name` among `files`.
@@ -146,7 +145,7 @@ fn dead_variants(
     let Some((def_path, def)) = find_enum(core, ename) else { return };
     let variants: BTreeSet<&str> = def.variants.iter().map(|(n, _)| n.as_str()).collect();
     let mut constructed: BTreeSet<&str> = BTreeSet::new();
-    for f in units.values().flatten() {
+    for f in units.values().flatten().filter(|f| f.counts_constructions) {
         for i in 0..f.toks.len() {
             if f.excluded[i] || f.parsed.pattern[i] {
                 continue;
@@ -158,7 +157,7 @@ fn dead_variants(
     }
     for (v, line) in &def.variants {
         if !constructed.contains(v.as_str()) {
-            out.push(mk(
+            out.push(Diagnostic::new(
                 def_path,
                 *line,
                 "dead_variant",
@@ -217,7 +216,7 @@ fn lock_order(krate: &str, files: &[FlowFile], out: &mut Vec<Diagnostic>) {
             (&edges[ri], &edges[first[&fwd]])
         };
         let label = if krate.is_empty() { String::new() } else { format!(" in `{krate}`") };
-        out.push(mk(
+        out.push(Diagnostic::new(
             &site.file,
             site.line,
             "lock_order_inversion",
@@ -415,6 +414,31 @@ mod tests {
         let d = run_on(src, &["handler_coverage"]);
         assert_eq!(d.len(), 1);
         assert_eq!(d[0].rule, "dead_variant");
+    }
+
+    #[test]
+    fn harness_constructions_do_not_count() {
+        let files = [lex("enum Message { A }"), lex("fn drive() -> Message { Message::A }")];
+        let masks: Vec<Vec<bool>> = files.iter().map(|f| test_regions(&f.tokens)).collect();
+        let parsed: Vec<ParsedFile> =
+            files.iter().zip(&masks).map(|(f, m)| parse(&f.tokens, m)).collect();
+        let path = PathBuf::from("x.rs");
+        let unit = |i: usize, counts_constructions| {
+            let (toks, excluded, parsed) = (&files[i].tokens, &masks[i], &parsed[i]);
+            vec![FlowFile { display: &path, toks, excluded, parsed, counts_constructions }]
+        };
+        let cfg = Config {
+            handler_enums: vec!["Message".into()],
+            core: "core".into(),
+            ..Config::default()
+        };
+        let enabled = ["dead_variant"].into_iter().collect();
+        for counts in [true, false] {
+            let units =
+                BTreeMap::from([("core".into(), unit(0, true)), ("bench".into(), unit(1, counts))]);
+            let d = run(&cfg, &enabled, &units).expect("roles resolve");
+            assert_eq!(d.len(), usize::from(!counts), "{d:?}");
+        }
     }
 
     #[test]

@@ -2,8 +2,9 @@
 //!
 //! Clippy carries every per-file rule: determinism and sans-I/O through
 //! the disallowed lists in `clippy.toml`, exhaustive protocol matches
-//! through `wildcard_enum_match_arm`, error discipline through
-//! `unwrap_used` and `let_underscore_untyped`, and suppression hygiene
+//! through `wildcard_enum_match_arm` and
+//! `match_wildcard_for_single_variants`, error discipline through
+//! `unwrap_used` and the `let_underscore_*` lints, and suppression hygiene
 //! through `allow_attributes` plus `#[expect(.., reason = "…")]`
 //! (DESIGN.md §10.1). This crate checks the three properties clippy
 //! cannot express:
@@ -12,7 +13,8 @@
 //!   `[lints.clippy]` table sets `unwrap_used`), every `.expect(…)`
 //!   documents the invariant that makes it safe: `expect("invariant: …")`;
 //! * `dead_variant` — every variant of a handler enum (`Message`,
-//!   `Timer`) is constructed somewhere outside tests;
+//!   `Timer`) is constructed somewhere outside tests, in a crate under
+//!   the determinism list;
 //! * `lock_order_inversion` — no two functions in a crate take the same
 //!   pair of locks in opposite orders.
 //!
@@ -56,8 +58,12 @@ pub fn run_workspace(workspace_root: &Path, config: &Config) -> Result<Vec<Diagn
     let flow_enabled = rules::expand_rules(&config.rules).map_err(|e| format!("[flow]: {e}"))?;
     let root_manifest = read(&workspace_root.join("Cargo.toml"))?;
     let mut units: BTreeMap<String, Vec<Analyzed>> = BTreeMap::new();
+    let mut harness = BTreeSet::new();
     for (name, dir, manifest) in workspace_members(workspace_root)? {
         let check_expect = denies_unwrap(&manifest, &root_manifest);
+        if is_io_harness(&manifest) {
+            harness.insert(name.clone());
+        }
         let mut files = Vec::new();
         collect_rs_files(&dir.join("src"), &mut files).map_err(|e| format!("{name}: {e}"))?;
         files.sort();
@@ -88,6 +94,7 @@ pub fn run_workspace(workspace_root: &Path, config: &Config) -> Result<Vec<Diagn
                     toks: &a.file.tokens,
                     excluded: &a.excluded,
                     parsed: &a.parsed,
+                    counts_constructions: !harness.contains(name),
                 })
                 .collect();
             (name.clone(), refs)
@@ -150,13 +157,23 @@ pub fn denies_unwrap(manifest: &str, root_manifest: &str) -> bool {
     level.is_some_and(|l| l != "allow")
 }
 
+/// Whether a crate is an I/O harness: its `[lints.clippy]` table opts
+/// out of the disallowed determinism/sans-I/O list. Constructions of a
+/// handler-enum variant in such a crate do not keep it off
+/// `dead_variant`, because the simulator never runs that code.
+pub fn is_io_harness(manifest: &str) -> bool {
+    table_value(manifest, "lints.clippy", "disallowed_methods").as_deref() == Some("allow")
+}
+
 /// Every workspace member (the root package first, if there is one) as
-/// (package name, directory, manifest text). Understands the
-/// `"crates/*"` glob form the workspace uses plus plain paths.
+/// (package name, directory, manifest text). Understands a one-line
+/// `members` array of plain paths and the `"crates/*"` glob form the
+/// workspace uses.
 pub fn workspace_members(workspace_root: &Path) -> Result<Vec<(String, PathBuf, String)>, String> {
     let manifest = read(&workspace_root.join("Cargo.toml"))?;
     let mut dirs = vec![workspace_root.to_path_buf()];
-    for entry in members_array(&manifest) {
+    let members = table_value(&manifest, "workspace", "members").unwrap_or_else(|| "[]".into());
+    for entry in config::string_array(&members).map_err(|e| format!("[workspace] members: {e}"))? {
         if let Some(prefix) = entry.strip_suffix("/*") {
             let dir = workspace_root.join(prefix);
             let listing = std::fs::read_dir(&dir).map_err(|e| format!("{}: {e}", dir.display()))?;
@@ -180,11 +197,12 @@ pub fn workspace_members(workspace_root: &Path) -> Result<Vec<(String, PathBuf, 
     Ok(members)
 }
 
-/// The value of `key` in the `[table]` section of a Cargo.toml, with
-/// surrounding quotes stripped.
-fn table_value(manifest: &str, table: &str, key: &str) -> Option<String> {
+/// The `key = value` entries of the `[table]` section of a Cargo.toml,
+/// in order, with surrounding quotes stripped from the values.
+pub fn table_entries(manifest: &str, table: &str) -> Vec<(String, String)> {
     let header = format!("[{table}]");
     let mut in_table = false;
+    let mut out = Vec::new();
     for line in manifest.lines() {
         let line = line.trim();
         if line.starts_with('[') {
@@ -193,48 +211,16 @@ fn table_value(manifest: &str, table: &str, key: &str) -> Option<String> {
         }
         if in_table {
             if let Some((k, v)) = line.split_once('=') {
-                if k.trim() == key {
-                    return Some(v.trim().trim_matches('"').to_string());
-                }
+                out.push((k.trim().to_string(), v.trim().trim_matches('"').to_string()));
             }
         }
     }
-    None
+    out
 }
 
-/// The `[workspace] members` entries of a Cargo.toml, handling the
-/// multi-line array form.
-fn members_array(manifest: &str) -> Vec<String> {
-    let mut in_workspace = false;
-    let mut collecting = false;
-    let mut buf = String::new();
-    for line in manifest.lines() {
-        let trimmed = line.trim();
-        if trimmed.starts_with('[') && !collecting {
-            in_workspace = trimmed == "[workspace]";
-            continue;
-        }
-        if in_workspace && !collecting {
-            if let Some(rest) = trimmed.strip_prefix("members") {
-                let rest = rest.trim_start();
-                if let Some(rest) = rest.strip_prefix('=') {
-                    buf.push_str(rest);
-                    collecting = true;
-                }
-            }
-        } else if collecting {
-            buf.push_str(trimmed);
-        }
-        if collecting && buf.contains(']') {
-            break;
-        }
-    }
-    let inner = buf.trim().strip_prefix('[').and_then(|s| s.split(']').next()).unwrap_or("");
-    inner
-        .split(',')
-        .map(|s| s.trim().trim_matches('"').to_string())
-        .filter(|s| !s.is_empty())
-        .collect()
+/// The value of `key` in the `[table]` section of a Cargo.toml.
+fn table_value(manifest: &str, table: &str, key: &str) -> Option<String> {
+    table_entries(manifest, table).into_iter().find(|(k, _)| k == key).map(|(_, v)| v)
 }
 
 /// Load `lint.toml`, looking in `start` and then each parent directory.
@@ -243,12 +229,17 @@ pub fn load_config(start: &Path) -> Result<(PathBuf, Config), String> {
     while let Some(d) = dir {
         let candidate = d.join("lint.toml");
         if candidate.is_file() {
-            let cfg = Config::parse(&read(&candidate)?).map_err(|e| e.to_string())?;
-            return Ok((d, cfg));
+            return read_config(&candidate);
         }
         dir = d.parent().map(Path::to_path_buf);
     }
     Err(format!("no lint.toml found from {} upward", start.display()))
+}
+
+/// Read the config at `path`; the workspace root is its directory.
+pub fn read_config(path: &Path) -> Result<(PathBuf, Config), String> {
+    let root = path.parent().map_or_else(|| PathBuf::from("."), Path::to_path_buf);
+    Ok((root, Config::parse(&read(path)?)?))
 }
 
 fn read(path: &Path) -> Result<String, String> {
@@ -283,5 +274,12 @@ mod tests {
         assert!(!denies_unwrap("[lints]\nworkspace = true\n", root));
         let strict = "[workspace.lints.clippy]\nunwrap_used = \"deny\"\n";
         assert!(denies_unwrap("[lints]\nworkspace = true\n", strict));
+    }
+
+    #[test]
+    fn opting_out_of_the_disallowed_list_makes_a_harness() {
+        assert!(is_io_harness("[lints.clippy]\ndisallowed_methods = \"allow\"\n"));
+        assert!(!is_io_harness("[lints.clippy]\nunwrap_used = \"deny\"\n"));
+        assert!(!is_io_harness("[lints]\nworkspace = true\n"));
     }
 }

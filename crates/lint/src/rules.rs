@@ -30,6 +30,17 @@ pub const FAMILIES: &[(&str, &[&str])] = &[
     ("lock_order", &["lock_order_inversion"]),
 ];
 
+/// The family a rule id belongs to (`lint_directive` hygiene findings
+/// report under their own name).
+pub fn family_of(rule: &str) -> &'static str {
+    for (family, rules) in FAMILIES {
+        if rules.contains(&rule) {
+            return family;
+        }
+    }
+    "lint_directive"
+}
+
 /// Expand family names (or individual rule ids) into the rule id set.
 /// Returns an error naming the first unknown entry.
 pub fn expand_rules(names: &[String]) -> Result<BTreeSet<&'static str>, String> {
@@ -69,7 +80,7 @@ pub fn expect_rule(display_path: &Path, toks: &[Tok], excluded: &[bool]) -> Vec<
             Some(arg) if arg.kind == TokKind::Str && arg.text.starts_with("invariant:")
         );
         if !documented {
-            raw.push(mk(
+            raw.push(Diagnostic::new(
                 display_path,
                 toks[i + 1].line,
                 "expect_used",
@@ -80,16 +91,6 @@ pub fn expect_rule(display_path: &Path, toks: &[Tok], excluded: &[bool]) -> Vec<
         }
     }
     raw
-}
-
-fn mk(
-    path: &Path,
-    line: u32,
-    rule: &'static str,
-    message: String,
-    note: &'static str,
-) -> Diagnostic {
-    Diagnostic { rule, file: path.to_path_buf(), line, message, note }
 }
 
 // ----------------------------------------------------------- suppression
@@ -114,7 +115,7 @@ pub fn apply_suppressions(path: &Path, file: &SourceFile, raw: Vec<Diagnostic>) 
         }
     }
     for &line in &file.bad_directives {
-        out.push(mk(
+        out.push(Diagnostic::new(
             path,
             line,
             "lint_directive",
@@ -124,7 +125,7 @@ pub fn apply_suppressions(path: &Path, file: &SourceFile, raw: Vec<Diagnostic>) 
     }
     for (ai, a) in file.allows.iter().enumerate() {
         if !a.has_reason {
-            out.push(mk(
+            out.push(Diagnostic::new(
                 path,
                 a.line,
                 "lint_directive",
@@ -133,7 +134,7 @@ pub fn apply_suppressions(path: &Path, file: &SourceFile, raw: Vec<Diagnostic>) 
             ));
         }
         if !used[ai] {
-            out.push(mk(
+            out.push(Diagnostic::new(
                 path,
                 a.line,
                 "lint_directive",

@@ -1,13 +1,16 @@
 //! Fixture-backed tests for every lint rule, plus the gate-level
-//! guarantees CI relies on: the real workspace lints clean, the
-//! `invariant:` expect rule covers exactly the crates under error
-//! discipline, flow roles must be workspace members, and the CLI's
-//! exit codes behave.
+//! guarantees CI relies on: the real workspace lints clean, rule
+//! enrollment follows the crates' lint tables (which restate the
+//! workspace set), flow roles must be workspace members, and the CLI's
+//! exit codes, `--rule` filter, and `--json` summary behave.
 
 use std::collections::BTreeSet;
 use std::path::{Path, PathBuf};
 use std::process::Command;
-use vsr_lint::{denies_unwrap, lint_file, load_config, rules, run_workspace, workspace_members};
+use vsr_lint::{
+    denies_unwrap, is_io_harness, lint_file, load_config, rules, run_workspace, table_entries,
+    workspace_members,
+};
 
 /// Every rule family.
 fn all_families() -> Vec<String> {
@@ -69,23 +72,53 @@ fn workspace_lints_clean() {
     );
 }
 
-/// The expect rule follows each crate's clippy `unwrap_used` level, so
-/// error discipline is enrolled in one place (the crate's lint table).
-/// This pins which crates that is today.
+/// Enrollment lives in each crate's clippy lint table. The expect rule
+/// runs where `unwrap_used` is set; `dead_variant` ignores constructions
+/// in the I/O harness crates, which opt out of the disallowed list.
+/// This pins both sets as they are today.
 #[test]
-fn expect_rule_covers_the_error_discipline_crates() {
+fn enrollment_follows_the_crates_lint_tables() {
     let start = Path::new(env!("CARGO_MANIFEST_DIR"));
     let (root, _) = load_config(start).expect("lint.toml found at workspace root");
     let root_manifest = std::fs::read_to_string(root.join("Cargo.toml")).expect("root manifest");
     let members = workspace_members(&root).expect("members");
-    assert!(members.iter().any(|(name, ..)| name == "viewstamped-replication"));
-    assert!(members.iter().any(|(name, ..)| name == "vsr-lint"));
-    let strict: Vec<&str> = members
-        .iter()
-        .filter(|(_, _, manifest)| denies_unwrap(manifest, &root_manifest))
-        .map(|(name, ..)| name.as_str())
-        .collect();
+    let names = |keep: &dyn Fn(&str) -> bool| -> Vec<&str> {
+        members.iter().filter(|(_, _, m)| keep(m)).map(|(name, ..)| name.as_str()).collect()
+    };
+    assert!(names(&|_| true).contains(&"viewstamped-replication"));
+    let strict = names(&|m| denies_unwrap(m, &root_manifest));
     assert_eq!(strict, ["vsr-core", "vsr-net", "vsr-runtime", "vsr-snap"]);
+    let harness = names(&|m| is_io_harness(m));
+    assert_eq!(harness, ["viewstamped-replication", "vsr-bench", "vsr-lint", "vsr-runtime"]);
+}
+
+/// Cargo cannot extend the workspace lint set, so a crate that adds
+/// lints restates it. Every member that does not inherit
+/// `[workspace.lints]` must carry each of its entries at the same level,
+/// or `#[allow]` (say) would quietly come back in that crate.
+#[test]
+fn every_lint_table_restates_the_workspace_base_set() {
+    let start = Path::new(env!("CARGO_MANIFEST_DIR"));
+    let (root, _) = load_config(start).expect("lint.toml found at workspace root");
+    let root_manifest = std::fs::read_to_string(root.join("Cargo.toml")).expect("root manifest");
+    for tool in ["rust", "clippy"] {
+        let base = table_entries(&root_manifest, &format!("workspace.lints.{tool}"));
+        assert!(!base.is_empty(), "[workspace.lints.{tool}] is empty");
+        for (name, _, manifest) in workspace_members(&root).expect("members") {
+            if table_entries(&manifest, "lints").contains(&("workspace".into(), "true".into())) {
+                continue;
+            }
+            let own = table_entries(&manifest, &format!("lints.{tool}"));
+            for entry in &base {
+                assert!(
+                    own.contains(entry),
+                    "{name}: [lints.{tool}] must restate `{} = \"{}\"` from the workspace set",
+                    entry.0,
+                    entry.1
+                );
+            }
+        }
+    }
 }
 
 /// A flow role must be a workspace member: pointing `[flow] core` at
@@ -126,4 +159,56 @@ fn cli_exit_codes() {
         .output()
         .expect("vsr-lint runs");
     assert_eq!(unknown.status.code(), Some(2), "an unknown family must exit 2");
+}
+
+/// `--rule` filters the output: an `expect_used` finding vanishes under
+/// a `lock_order` filter (exit 0) and survives its own (exit 1).
+#[test]
+fn cli_rule_filter() {
+    let filtered = Command::new(env!("CARGO_BIN_EXE_vsr-lint"))
+        .args(["--rules", "error_discipline", "--rule", "lock_order"])
+        .arg(fixture_path("expect_used.rs"))
+        .output()
+        .expect("vsr-lint runs");
+    assert_eq!(filtered.status.code(), Some(0), "filtered-out finding must exit 0");
+
+    let kept = Command::new(env!("CARGO_BIN_EXE_vsr-lint"))
+        .args(["--rules", "error_discipline", "--rule", "expect_used"])
+        .arg(fixture_path("expect_used.rs"))
+        .output()
+        .expect("vsr-lint runs");
+    assert_eq!(kept.status.code(), Some(1), "matching finding must exit 1");
+
+    let directive = Command::new(env!("CARGO_BIN_EXE_vsr-lint"))
+        .args(["--rules", "error_discipline", "--rule", "lint_directive"])
+        .arg(fixture_path("lint_directive.rs"))
+        .output()
+        .expect("vsr-lint runs");
+    assert_eq!(directive.status.code(), Some(1), "lint_directive is a filter name too");
+
+    let bogus = Command::new(env!("CARGO_BIN_EXE_vsr-lint"))
+        .args(["--rules", "error_discipline", "--rule", "no_such_rule"])
+        .arg(fixture_path("expect_used.rs"))
+        .output()
+        .expect("vsr-lint runs");
+    assert_eq!(bogus.status.code(), Some(2), "unknown filter name must exit 2");
+}
+
+/// `--json` emits a summary object: per-family counts plus the
+/// findings array with rule ids.
+#[test]
+fn cli_json_output() {
+    let out = Command::new(env!("CARGO_BIN_EXE_vsr-lint"))
+        .args(["--rules", "error_discipline", "--json"])
+        .arg(fixture_path("expect_used.rs"))
+        .output()
+        .expect("vsr-lint runs");
+    assert_eq!(out.status.code(), Some(1));
+    let stdout = String::from_utf8(out.stdout).expect("utf8");
+    assert!(stdout.trim_start().starts_with('{'), "json output: {stdout}");
+    assert!(stdout.contains("\"counts\""), "json output: {stdout}");
+    assert!(stdout.contains("\"error_discipline\": 1"), "json output: {stdout}");
+    assert!(stdout.contains("\"lock_order\": 0"), "json output: {stdout}");
+    assert!(stdout.contains("\"total\": 1"), "json output: {stdout}");
+    assert!(stdout.contains("\"expect_used\""), "json output: {stdout}");
 }

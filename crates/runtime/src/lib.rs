@@ -382,6 +382,7 @@ impl CohortThread {
                 if gate.is_dirty() {
                     #[expect(
                         clippy::let_underscore_untyped,
+                        clippy::let_underscore_must_use,
                         reason = "a full channel means a wake is already pending; a closed one \
                                   means the flusher died and its SyncFailed is in the mailbox"
                     )]
@@ -435,6 +436,7 @@ impl CohortThread {
                 if let Some(reply) = self.replies.remove(&req_id) {
                     #[expect(
                         clippy::let_underscore_untyped,
+                        clippy::let_underscore_must_use,
                         reason = "the submitter may have timed out and dropped its receiver"
                     )]
                     let _ = reply.send(outcome);
@@ -1173,6 +1175,7 @@ impl Cluster {
             handle.tx.close();
             #[expect(
                 clippy::let_underscore_untyped,
+                clippy::let_underscore_must_use,
                 reason = "a crash-simulating thread may panic on its way down; the join result is \
                           the point of the crash"
             )]
@@ -1237,6 +1240,7 @@ impl Cluster {
                 handle.tx.close();
                 #[expect(
                     clippy::let_underscore_untyped,
+                    clippy::let_underscore_must_use,
                     reason = "join failure at shutdown means the thread already died; there is \
                               nothing left to clean up"
                 )]
@@ -1373,6 +1377,10 @@ mod tests {
         // the new incarnation must re-form a view retaining every
         // committed transaction.
         let dir = std::env::temp_dir().join(format!("vsr-durable-test-{}", std::process::id()));
+        #[expect(
+            clippy::let_underscore_must_use,
+            reason = "best-effort cleanup: the directory is usually absent"
+        )]
         let _: std::io::Result<()> = std::fs::remove_dir_all(&dir);
         let build = || {
             ClusterBuilder::new()
@@ -1407,6 +1415,10 @@ mod tests {
         }
         assert_eq!(committed_value, Some(4), "restarted group kept all committed state");
         c.shutdown();
+        #[expect(
+            clippy::let_underscore_must_use,
+            reason = "best-effort cleanup: a leftover temp directory fails nothing"
+        )]
         let _: std::io::Result<()> = std::fs::remove_dir_all(&dir);
     }
 
