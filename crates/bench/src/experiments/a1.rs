@@ -17,6 +17,7 @@ use vsr_app::counter;
 use vsr_core::cohort::TxnOutcome;
 use vsr_core::config::CohortConfig;
 use vsr_core::types::Mid;
+use vsr_sim::fault::FaultEvent;
 use vsr_simnet::NetConfig;
 
 /// Suspicion timeouts swept (heartbeat interval is 20 ticks).
@@ -49,8 +50,8 @@ pub fn measure(suspect_timeout: u64, seeds: u64) -> TimeoutResult {
                 vec![counter::incr(SERVER, 0, 1)],
             ));
         }
-        world.schedule_crash(8_000, Mid(1));
-        world.schedule_recover(16_000, Mid(1));
+        world.schedule(8_000, FaultEvent::Crash(Mid(1)));
+        world.schedule(16_000, FaultEvent::Recover(Mid(1)));
         world.run_until(35_000);
         let committed = reqs
             .iter()

@@ -16,6 +16,7 @@ use vsr_app::counter;
 use vsr_core::cohort::{AbortReason, TxnOutcome};
 use vsr_core::config::CohortConfig;
 use vsr_core::types::Mid;
+use vsr_sim::fault::FaultEvent;
 use vsr_simnet::NetConfig;
 
 /// Results of one mode's run.
@@ -59,8 +60,8 @@ pub fn run_mode(eager: bool, seed: u64) -> ModeResult {
     for (crash_at, recover_at) in [(2_030, 5_000), (8_030, 11_000), (14_030, 17_000)] {
         // Crash the bootstrap primary id each time; if a view change has
         // moved the primary this still perturbs the group.
-        world.schedule_crash(crash_at, Mid(1));
-        world.schedule_recover(recover_at, Mid(1));
+        world.schedule(crash_at, FaultEvent::Crash(Mid(1)));
+        world.schedule(recover_at, FaultEvent::Recover(Mid(1)));
     }
     world.run_until(60_000);
 

@@ -18,6 +18,7 @@ use vsr_baselines::voting::Voting;
 use vsr_core::cohort::TxnOutcome;
 use vsr_core::config::CohortConfig;
 use vsr_core::types::Mid;
+use vsr_sim::fault::FaultEvent;
 use vsr_simnet::NetConfig;
 
 /// Fault scenarios applied to each scheme's replicas.
@@ -63,14 +64,14 @@ pub fn vr_availability(scenario: Scenario, seed: u64) -> f64 {
         Scenario::Healthy => {}
         Scenario::OneDown => world.crash(Mid(2)),
         Scenario::PrimaryCrash => {
-            world.schedule_crash(5_000, Mid(1));
-            world.schedule_recover(20_000, Mid(1));
+            world.schedule(5_000, FaultEvent::Crash(Mid(1)));
+            world.schedule(20_000, FaultEvent::Recover(Mid(1)));
         }
         Scenario::TwoDown => {
-            world.schedule_crash(5_000, Mid(2));
-            world.schedule_crash(5_000, Mid(3));
-            world.schedule_recover(20_000, Mid(2));
-            world.schedule_recover(20_000, Mid(3));
+            world.schedule(5_000, FaultEvent::Crash(Mid(2)));
+            world.schedule(5_000, FaultEvent::Crash(Mid(3)));
+            world.schedule(20_000, FaultEvent::Recover(Mid(2)));
+            world.schedule(20_000, FaultEvent::Recover(Mid(3)));
         }
     }
     let mut reqs = Vec::new();

@@ -2,24 +2,23 @@
 //!
 //! "Replicating a client that is not a server may not be worthwhile."
 //! An unreplicated client runs its transactions' remote calls itself —
-//! exactly as the replicated client primary of Figure 2 does — but
-//! delegates transaction creation, two-phase commit, and outcome queries
-//! to a replicated *coordinator-server* group, which keeps the commit
-//! decision highly available and can abort unilaterally if the client
-//! dies.
+//! through the very call path (location cache, call send, reply and
+//! rejection handling, the Section 3.6 retry and redo) that the
+//! replicated client primary of Figure 2 runs — but delegates transaction
+//! creation, two-phase commit, and outcome queries to a replicated
+//! *coordinator-server* group, which keeps the commit decision highly
+//! available and can abort unilaterally if the client dies.
 //!
 //! Like [`Cohort`](crate::cohort::Cohort), the agent is a sans-I/O state
 //! machine reusing the same [`Effect`] and [`Timer`] vocabulary, so any
 //! runtime that can drive cohorts can drive agents.
 
-use crate::cohort::{
-    call_op_index, call_seq, retry_kind, AbortReason, CallOp, Effect, Timer, TxnOutcome,
-};
+use crate::cohort::calls::{CallScript, Directory, Next};
+use crate::cohort::{retry_kind, AbortReason, CallOp, Effect, Timer, TxnOutcome};
 use crate::config::CohortConfig;
-use crate::messages::{CallOutcome, Message};
-use crate::pset::PSet;
-use crate::types::{Aid, CallId, GroupId, Mid, Tick, ViewId};
-use crate::view::{Configuration, View};
+use crate::messages::Message;
+use crate::types::{Aid, GroupId, Mid, Tick};
+use crate::view::Configuration;
 use std::collections::BTreeMap;
 
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -35,14 +34,9 @@ enum AgentPhase {
 #[derive(Debug, Clone)]
 struct AgentTxn {
     req_id: u64,
-    ops: Vec<CallOp>,
     aid: Option<Aid>,
-    next_op: usize,
-    pset: PSet,
-    results: Vec<Vec<u8>>,
     phase: AgentPhase,
-    /// Call-subaction generation for the current op (Section 3.6).
-    call_generation: u64,
+    script: CallScript,
 }
 
 /// An unreplicated client: runs remote calls directly, delegates
@@ -70,8 +64,7 @@ pub struct ClientAgent {
     cfg: CohortConfig,
     mid: Mid,
     coord_group: GroupId,
-    peers: BTreeMap<GroupId, Configuration>,
-    cache: BTreeMap<GroupId, (ViewId, View)>,
+    dir: Directory,
     txns: BTreeMap<u64, AgentTxn>,
     by_aid: BTreeMap<Aid, u64>,
 }
@@ -106,8 +99,7 @@ impl ClientAgent {
             cfg,
             mid,
             coord_group,
-            peers,
-            cache: BTreeMap::new(),
+            dir: Directory::new(mid, peers),
             txns: BTreeMap::new(),
             by_aid: BTreeMap::new(),
         }
@@ -123,58 +115,29 @@ impl ClientAgent {
         self.txns.len()
     }
 
-    fn cached_target(&mut self, group: GroupId) -> (ViewId, Mid) {
-        if let Some((viewid, view)) = self.cache.get(&group) {
-            return (*viewid, view.primary());
-        }
-        let config = self.peers.get(&group).unwrap_or_else(|| panic!("unknown group {group}"));
-        let members = config.members();
-        let primary = members[0];
-        let backups: Vec<Mid> = members.iter().copied().filter(|&m| m != primary).collect();
-        let viewid = ViewId::initial(primary);
-        self.cache.insert(group, (viewid, View::new(primary, backups)));
-        (viewid, primary)
-    }
-
-    fn update_cache(&mut self, group: GroupId, viewid: ViewId, view: View) -> bool {
-        match self.cache.get(&group) {
-            Some((cached, _)) if *cached >= viewid => false,
-            _ => {
-                self.cache.insert(group, (viewid, view));
-                true
-            }
-        }
-    }
-
-    fn probe_group(&self, group: GroupId, out: &mut Vec<Effect>) {
-        let Some(config) = self.peers.get(&group) else { return };
-        for &m in config.members() {
-            out.push(Effect::Send { to: m, msg: Message::Probe { group, reply_to: self.mid } });
-        }
-    }
-
     // ------------------------------------------------------------------
     // submission
     // ------------------------------------------------------------------
 
     /// Start a transaction: ask the coordinator-server for an aid, then
     /// run `ops` and delegate the commit. The eventual
-    /// [`Effect::TxnResult`] echoes `req_id`.
+    /// [`Effect::TxnResult`] echoes `req_id`. A script calling a group the
+    /// location directory does not list is aborted with
+    /// [`AbortReason::UnknownGroup`] before anything is sent.
     pub fn begin_transaction(&mut self, _now: Tick, req_id: u64, ops: Vec<CallOp>) -> Vec<Effect> {
         let mut out = Vec::new();
-        self.txns.insert(
+        if let Some(group) = self.dir.unknown_group(&ops) {
+            let outcome = TxnOutcome::Aborted { reason: AbortReason::UnknownGroup { group } };
+            out.push(Effect::TxnResult { req_id, aid: None, outcome });
+            return out;
+        }
+        let txn = AgentTxn {
             req_id,
-            AgentTxn {
-                req_id,
-                ops,
-                aid: None,
-                next_op: 0,
-                pset: PSet::new(),
-                results: Vec::new(),
-                phase: AgentPhase::Beginning,
-                call_generation: 0,
-            },
-        );
+            aid: None,
+            phase: AgentPhase::Beginning,
+            script: CallScript::new(ops),
+        };
+        self.txns.insert(req_id, txn);
         self.send_begin(req_id, &mut out);
         out.push(Effect::SetTimer {
             after: self.retry_delay(self.cfg.call_retry_interval, 1, retry_kind::AGENT_BEGIN),
@@ -186,15 +149,12 @@ impl ClientAgent {
     /// Backoff-and-jitter delay for retry `attempt` of an agent timer
     /// (see [`CohortConfig::retry_delay`]).
     fn retry_delay(&self, base: u64, attempt: u32, kind: u64) -> u64 {
-        self.cfg.retry_delay(base, attempt, self.mid.0.rotate_left(16) ^ kind)
+        self.cfg.retry_delay(base, attempt, retry_kind::salt(self.mid, kind))
     }
 
     fn send_begin(&mut self, req_id: u64, out: &mut Vec<Effect>) {
-        let (_, primary) = self.cached_target(self.coord_group);
-        out.push(Effect::Send {
-            to: primary,
-            msg: Message::ClientBegin { req: req_id, reply_to: self.mid },
-        });
+        let msg = Message::ClientBegin { req: req_id, reply_to: self.mid };
+        self.dir.send_to_primary(self.coord_group, msg, out);
     }
 
     // ------------------------------------------------------------------
@@ -207,26 +167,26 @@ impl ClientAgent {
         match msg {
             Message::ClientBeginAck { req, aid } => self.on_begin_ack(now, req, aid, &mut out),
             Message::CallReply { call_id, outcome } => {
-                self.on_call_reply(now, call_id, outcome, &mut out)
+                self.call_step(call_id.aid, &mut out, |script, cfg, dir, out| {
+                    script.on_reply(cfg, dir, call_id, outcome, out)
+                })
             }
-            Message::CallReject { call_id, newer } => self.on_call_reject(call_id, newer, &mut out),
+            Message::CallReject { call_id, newer } => {
+                self.call_step(call_id.aid, &mut out, |script, _, dir, out| {
+                    script.on_reject(dir, call_id, newer, out)
+                })
+            }
             Message::ClientOutcome { aid, committed } => self.on_outcome(aid, committed, &mut out),
             Message::ClientPing { aid, reply_to } if self.by_aid.contains_key(&aid) => {
                 out.push(Effect::Send { to: reply_to, msg: Message::ClientPong { aid } });
             }
-            Message::ProbeReply { group, viewid, view } => {
-                if self.update_cache(group, viewid, view) {
+            Message::ProbeReply { group, viewid, view }
+            | Message::Redirect { group, newer: Some((viewid, view)) } => {
+                if self.dir.learn(group, viewid, view) {
                     self.resend_current(group, &mut out);
                 }
             }
-            Message::Redirect { group, newer } => match newer {
-                Some((viewid, view)) => {
-                    if self.update_cache(group, viewid, view) {
-                        self.resend_current(group, &mut out);
-                    }
-                }
-                None => self.probe_group(group, &mut out),
-            },
+            Message::Redirect { group, newer: None } => self.dir.probe(group, &mut out),
             // An agent is not a cohort: group-directed traffic (calls,
             // two-phase commit, buffer replication, view management) can
             // only reach it misdirected or stale, and a ClientPing for an
@@ -272,115 +232,42 @@ impl ClientAgent {
         txn.aid = Some(aid);
         txn.phase = AgentPhase::Running;
         self.by_aid.insert(aid, req);
-        self.advance(req, out);
+        self.call_step(aid, out, |script, cfg, dir, out| script.advance(cfg, dir, aid, out));
     }
 
-    /// Send the next call, or delegate the commit when the script is
-    /// done.
-    fn advance(&mut self, req: u64, out: &mut Vec<Effect>) {
-        let Some(txn) = self.txns.get(&req) else { return };
-        let aid = txn.aid.expect("invariant: an advancing transaction has an aid");
-        if txn.next_op < txn.ops.len() {
-            let seq = call_seq(txn.next_op, txn.call_generation);
-            self.send_call(req, seq, out);
-            out.push(Effect::SetTimer {
-                after: self.retry_delay(self.cfg.call_retry_interval, 1, retry_kind::AGENT_CALL),
-                timer: Timer::AgentCallRetry { call_id: CallId { aid, seq }, attempt: 1 },
-            });
-        } else {
-            let txn = self.txns.get_mut(&req).expect("invariant: checked by the get above");
-            txn.phase = AgentPhase::Committing;
-            self.send_commit(req, out);
-            out.push(Effect::SetTimer {
-                after: self.retry_delay(
-                    self.cfg.prepare_retry_interval,
-                    1,
-                    retry_kind::AGENT_COMMIT,
-                ),
-                timer: Timer::AgentCommitRetry { aid, attempt: 1 },
-            });
+    /// Run one step of `aid`'s call script and act on what it leaves to
+    /// do: delegate the commit once every call has replied, or abort.
+    /// Only a `Running` transaction's script has a call outstanding, so
+    /// the script alone recognizes stale input.
+    fn call_step(
+        &mut self,
+        aid: Aid,
+        out: &mut Vec<Effect>,
+        step: impl FnOnce(&mut CallScript, &CohortConfig, &mut Directory, &mut Vec<Effect>) -> Next,
+    ) {
+        let Some(&req) = self.by_aid.get(&aid) else { return };
+        let Some(txn) = self.txns.get_mut(&req) else { return };
+        match step(&mut txn.script, &self.cfg, &mut self.dir, out) {
+            Next::Wait => {}
+            Next::Commit => {
+                txn.phase = AgentPhase::Committing;
+                self.send_commit(req, out);
+                let after =
+                    self.retry_delay(self.cfg.prepare_retry_interval, 1, retry_kind::AGENT_COMMIT);
+                out.push(Effect::SetTimer {
+                    after,
+                    timer: Timer::AgentCommitRetry { aid, attempt: 1 },
+                });
+            }
+            Next::Abort(reason) => self.abort(req, reason, out),
         }
-    }
-
-    fn send_call(&mut self, req: u64, seq: u64, out: &mut Vec<Effect>) {
-        let Some(txn) = self.txns.get(&req) else { return };
-        let aid = txn.aid.expect("invariant: a running transaction has an aid");
-        let op = txn.ops[call_op_index(seq)].clone();
-        let (viewid, primary) = self.cached_target(op.group);
-        out.push(Effect::Send {
-            to: primary,
-            msg: Message::Call {
-                viewid,
-                call_id: CallId { aid, seq },
-                proc: op.proc,
-                args: op.args,
-            },
-        });
     }
 
     fn send_commit(&mut self, req: u64, out: &mut Vec<Effect>) {
         let Some(txn) = self.txns.get(&req) else { return };
         let aid = txn.aid.expect("invariant: a committing transaction has an aid");
-        let pset = txn.pset.clone();
-        let (_, primary) = self.cached_target(self.coord_group);
-        out.push(Effect::Send {
-            to: primary,
-            msg: Message::ClientCommit { aid, pset, reply_to: self.mid },
-        });
-    }
-
-    fn on_call_reply(
-        &mut self,
-        _now: Tick,
-        call_id: CallId,
-        outcome: CallOutcome,
-        out: &mut Vec<Effect>,
-    ) {
-        let Some(&req) = self.by_aid.get(&call_id.aid) else { return };
-        let Some(txn) = self.txns.get_mut(&req) else { return };
-        if txn.phase != AgentPhase::Running
-            || call_seq(txn.next_op, txn.call_generation) != call_id.seq
-        {
-            return;
-        }
-        match outcome {
-            CallOutcome::Ok { result, pset } => {
-                txn.pset.merge(&pset);
-                txn.results.push(result);
-                txn.next_op += 1;
-                txn.call_generation = 0;
-                self.advance(req, out);
-            }
-            CallOutcome::Refused(refusal) => {
-                let group = txn.ops[call_op_index(call_id.seq)].group;
-                self.abort(req, AbortReason::CallRefused { group, refusal }, out);
-            }
-        }
-    }
-
-    fn on_call_reject(
-        &mut self,
-        call_id: CallId,
-        newer: Option<(ViewId, View)>,
-        out: &mut Vec<Effect>,
-    ) {
-        let Some(&req) = self.by_aid.get(&call_id.aid) else { return };
-        let Some(txn) = self.txns.get(&req) else { return };
-        if txn.phase != AgentPhase::Running
-            || call_seq(txn.next_op, txn.call_generation) != call_id.seq
-        {
-            return;
-        }
-        let group = txn.ops[call_op_index(call_id.seq)].group;
-        let updated = match newer {
-            Some((viewid, view)) => self.update_cache(group, viewid, view),
-            None => false,
-        };
-        if updated {
-            self.send_call(req, call_id.seq, out);
-        } else {
-            self.probe_group(group, out);
-        }
+        let msg = Message::ClientCommit { aid, pset: txn.script.pset.clone(), reply_to: self.mid };
+        self.dir.send_to_primary(self.coord_group, msg, out);
     }
 
     fn on_outcome(&mut self, aid: Aid, committed: bool, out: &mut Vec<Effect>) {
@@ -392,7 +279,7 @@ impl ClientAgent {
         let txn = self.txns.remove(&req).expect("invariant: checked by the get above");
         self.by_aid.remove(&aid);
         let outcome = if committed {
-            TxnOutcome::Committed { results: txn.results }
+            TxnOutcome::Committed { results: txn.script.results }
         } else {
             TxnOutcome::Aborted { reason: AbortReason::CoordinatorAborted }
         };
@@ -402,23 +289,14 @@ impl ClientAgent {
     /// Re-send whatever this agent is waiting on from `group` after a
     /// cache update.
     fn resend_current(&mut self, group: GroupId, out: &mut Vec<Effect>) {
-        let snapshot: Vec<(u64, AgentPhase, Option<u64>)> = self
-            .txns
-            .iter()
-            .map(|(&req, t)| {
-                let seq = (t.phase == AgentPhase::Running
-                    && t.next_op < t.ops.len()
-                    && t.ops[t.next_op].group == group)
-                    .then_some(call_seq(t.next_op, t.call_generation));
-                (req, t.phase, seq)
-            })
-            .collect();
-        for (req, phase, call_seq) in snapshot {
+        let snapshot: Vec<(u64, AgentPhase)> =
+            self.txns.iter().map(|(&req, t)| (req, t.phase)).collect();
+        for (req, phase) in snapshot {
             match phase {
                 AgentPhase::Beginning if group == self.coord_group => self.send_begin(req, out),
                 AgentPhase::Running => {
-                    if let Some(seq) = call_seq {
-                        self.send_call(req, seq, out);
+                    if let Some(AgentTxn { aid: Some(aid), script, .. }) = self.txns.get(&req) {
+                        script.resend_to(&mut self.dir, *aid, group, out);
                     }
                 }
                 AgentPhase::Committing if group == self.coord_group => self.send_commit(req, out),
@@ -437,12 +315,10 @@ impl ClientAgent {
         let Some(txn) = self.txns.remove(&req) else { return };
         if let Some(aid) = txn.aid {
             self.by_aid.remove(&aid);
-            for group in txn.pset.participant_groups() {
-                let (_, primary) = self.cached_target(group);
-                out.push(Effect::Send { to: primary, msg: Message::Abort { aid } });
+            for group in txn.script.pset.participant_groups() {
+                self.dir.send_to_primary(group, Message::Abort { aid }, out);
             }
-            let (_, coord) = self.cached_target(self.coord_group);
-            out.push(Effect::Send { to: coord, msg: Message::ClientAbort { aid } });
+            self.dir.send_to_primary(self.coord_group, Message::ClientAbort { aid }, out);
         }
         out.push(Effect::TxnResult {
             req_id: txn.req_id,
@@ -469,7 +345,7 @@ impl ClientAgent {
                     return out;
                 }
                 self.send_begin(req, &mut out);
-                self.probe_group(self.coord_group, &mut out);
+                self.dir.probe(self.coord_group, &mut out);
                 out.push(Effect::SetTimer {
                     after: self.retry_delay(
                         self.cfg.call_retry_interval,
@@ -479,54 +355,9 @@ impl ClientAgent {
                     timer: Timer::AgentBeginRetry { req, attempt: attempt + 1 },
                 });
             }
-            Timer::AgentCallRetry { call_id, attempt } => {
-                let Some(&req) = self.by_aid.get(&call_id.aid) else { return out };
-                let active = self.txns.get(&req).is_some_and(|t| {
-                    t.phase == AgentPhase::Running
-                        && call_seq(t.next_op, t.call_generation) == call_id.seq
-                });
-                if !active {
-                    return out;
-                }
-                let group = self.txns[&req].ops[call_op_index(call_id.seq)].group;
-                if attempt >= self.cfg.call_attempts {
-                    let txn = self
-                        .txns
-                        .get_mut(&req)
-                        .expect("invariant: checked by the is_some_and above");
-                    if txn.call_generation < self.cfg.call_redo_attempts as u64 {
-                        // Abort the call subaction and redo it as a new
-                        // one (Section 3.6).
-                        txn.call_generation += 1;
-                        let seq = call_seq(txn.next_op, txn.call_generation);
-                        let aid = txn.aid.expect("invariant: a running transaction has an aid");
-                        self.send_call(req, seq, &mut out);
-                        self.probe_group(group, &mut out);
-                        out.push(Effect::SetTimer {
-                            after: self.retry_delay(
-                                self.cfg.call_retry_interval,
-                                1,
-                                retry_kind::AGENT_CALL,
-                            ),
-                            timer: Timer::AgentCallRetry {
-                                call_id: CallId { aid, seq },
-                                attempt: 1,
-                            },
-                        });
-                        return out;
-                    }
-                    self.abort(req, AbortReason::CallTimeout { group }, &mut out);
-                    return out;
-                }
-                self.send_call(req, call_id.seq, &mut out);
-                self.probe_group(group, &mut out);
-                out.push(Effect::SetTimer {
-                    after: self.retry_delay(
-                        self.cfg.call_retry_interval,
-                        attempt + 1,
-                        retry_kind::AGENT_CALL,
-                    ),
-                    timer: Timer::AgentCallRetry { call_id, attempt: attempt + 1 },
+            Timer::CallRetry { call_id, attempt } => {
+                self.call_step(call_id.aid, &mut out, |script, cfg, dir, out| {
+                    script.on_retry(cfg, dir, call_id, attempt, out)
                 });
             }
             Timer::AgentCommitRetry { aid, attempt } => {
@@ -552,7 +383,7 @@ impl ClientAgent {
                     return out;
                 }
                 self.send_commit(req, &mut out);
-                self.probe_group(self.coord_group, &mut out);
+                self.dir.probe(self.coord_group, &mut out);
                 out.push(Effect::SetTimer {
                     after: self.retry_delay(
                         self.cfg.prepare_retry_interval,
@@ -567,7 +398,6 @@ impl ClientAgent {
             // agents care.
             Timer::Heartbeat
             | Timer::BufferFlush
-            | Timer::CallRetry { .. }
             | Timer::PrepareRetry { .. }
             | Timer::CommitRetry { .. }
             | Timer::ForceCheck { .. }

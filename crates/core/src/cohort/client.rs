@@ -3,19 +3,21 @@
 //! client group (Section 3.1, Figure 2).
 //!
 //! A transaction is submitted as a *script* of sequential remote calls
-//! ([`CallOp`]); the coordinator runs them in order, collecting the pset,
-//! and then drives two-phase commit. The paper's model has arbitrary user
-//! code between calls; a pre-declared script is equivalent for the
-//! protocol, which only observes the sequence of calls and the final
-//! commit.
+//! ([`CallOp`]); the coordinator runs them in order through the call path
+//! it shares with the unreplicated agent (`calls.rs`), collecting the
+//! pset, and then drives two-phase commit. The paper's model has
+//! arbitrary user code between calls; a pre-declared script is
+//! equivalent for the protocol, which only observes the sequence of
+//! calls and the final commit.
 
+use super::calls::{CallScript, Directory, Next};
 use super::{retry_kind, Cohort, Effect, ForceReason, Observation, Status, Timer};
+use crate::config::CohortConfig;
 use crate::event::EventKind;
 use crate::gstate::{LockMode, ObjectAccess};
-use crate::messages::{CallOutcome, CallRefusal, Message};
+use crate::messages::{CallRefusal, Message};
 use crate::module::TxnCtx;
-use crate::pset::PSet;
-use crate::types::{Aid, CallId, GroupId, Mid, Tick, ViewId};
+use crate::types::{Aid, GroupId, Mid, Tick, ViewId};
 use crate::view::View;
 use std::collections::{BTreeMap, BTreeSet};
 
@@ -59,6 +61,12 @@ pub enum AbortReason {
     NotPrimary,
     /// The coordinator lost its primaryship before the commit decision.
     ViewChanged,
+    /// The script calls a group the location directory does not list;
+    /// no call was made.
+    UnknownGroup {
+        /// The first such group in the script.
+        group: GroupId,
+    },
     /// A delegated transaction was aborted by its coordinator-server
     /// (prepare refused or timed out there, or the server aborted
     /// unilaterally after the client appeared dead; Section 3.5).
@@ -91,10 +99,7 @@ pub enum TxnOutcome {
 #[derive(Debug, Clone)]
 pub(crate) struct CoordTxn {
     pub(crate) req_id: u64,
-    pub(crate) ops: Vec<CallOp>,
-    pub(crate) next_op: usize,
-    pub(crate) pset: PSet,
-    pub(crate) results: Vec<Vec<u8>>,
+    pub(crate) script: CallScript,
     pub(crate) phase: CoordPhase,
     /// Prepare votes received: group → read_only.
     pub(crate) votes: BTreeMap<GroupId, bool>,
@@ -105,22 +110,6 @@ pub(crate) struct CoordTxn {
     /// For a transaction delegated by an unreplicated client
     /// (Section 3.5): the client mid to send the outcome to.
     pub(crate) delegate: Option<Mid>,
-    /// Call-subaction generation for the current op (Section 3.6): the
-    /// call id's high bits, bumped on each redo.
-    pub(crate) call_generation: u64,
-}
-
-/// Compose a call sequence number from its op index and subaction
-/// generation (the generation lives in the high 32 bits, so every redo
-/// gets a globally fresh call id while the op index stays recoverable;
-/// Section 3.6).
-pub fn call_seq(op_index: usize, generation: u64) -> u64 {
-    (generation << 32) | op_index as u64
-}
-
-/// The op index encoded in a call sequence number.
-pub fn call_op_index(seq: u64) -> usize {
-    (seq & 0xFFFF_FFFF) as usize
 }
 
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -147,14 +136,21 @@ impl Cohort {
     ///
     /// Only an active primary accepts transactions; otherwise the
     /// submission is immediately aborted with
-    /// [`AbortReason::NotPrimary`].
+    /// [`AbortReason::NotPrimary`]. A script calling a group the location
+    /// directory does not list is aborted with
+    /// [`AbortReason::UnknownGroup`] before any call.
     pub fn begin_transaction(&mut self, now: Tick, req_id: u64, ops: Vec<CallOp>) -> Vec<Effect> {
         let mut out = Vec::new();
-        if !self.is_active_primary() {
+        let rejected = if self.is_active_primary() {
+            self.dir.unknown_group(&ops).map(|group| AbortReason::UnknownGroup { group })
+        } else {
+            Some(AbortReason::NotPrimary)
+        };
+        if let Some(reason) = rejected {
             out.push(Effect::TxnResult {
                 req_id,
                 aid: None,
-                outcome: TxnOutcome::Aborted { reason: AbortReason::NotPrimary },
+                outcome: TxnOutcome::Aborted { reason },
             });
             return out;
         }
@@ -200,19 +196,17 @@ impl Cohort {
         self.next_txn_seq += 1;
         let txn = CoordTxn {
             req_id,
-            ops,
-            next_op: 0,
-            pset: PSet::new(),
-            results: Vec::new(),
+            script: CallScript::new(ops),
             phase: CoordPhase::Running,
             votes: BTreeMap::new(),
             plist: Vec::new(),
             acks: BTreeSet::new(),
             delegate: None,
-            call_generation: 0,
         };
         self.coord.insert(aid, txn);
-        self.advance_txn(now, aid, &mut out);
+        self.call_step(now, aid, &mut out, |script, cfg, dir, out| {
+            script.advance(cfg, dir, aid, out)
+        });
         out
     }
 
@@ -242,181 +236,23 @@ impl Cohort {
         Ok((results, accesses))
     }
 
-    /// Run the next call of the script, or move to two-phase commit when
-    /// the script is finished.
-    fn advance_txn(&mut self, now: Tick, aid: Aid, out: &mut Vec<Effect>) {
-        let Some(txn) = self.coord.get(&aid) else { return };
-        if txn.next_op < txn.ops.len() {
-            let seq = call_seq(txn.next_op, txn.call_generation);
-            self.send_call(aid, seq, out);
-            out.push(Effect::SetTimer {
-                after: self.retry_delay(self.cfg.call_retry_interval, 1, retry_kind::CALL),
-                timer: Timer::CallRetry { call_id: CallId { aid, seq }, attempt: 1 },
-            });
-        } else {
-            self.start_prepare(now, aid, out);
-        }
-    }
-
-    /// Send (or re-send) call number `seq` of the transaction to the
-    /// target group's cached primary (Figure 2, "Making a remote call").
-    fn send_call(&mut self, aid: Aid, seq: u64, out: &mut Vec<Effect>) {
-        let Some(txn) = self.coord.get(&aid) else { return };
-        let op = txn.ops[call_op_index(seq)].clone();
-        let (viewid, primary) = self.cached_target(op.group);
-        out.push(Effect::Send {
-            to: primary,
-            msg: Message::Call {
-                viewid,
-                call_id: CallId { aid, seq },
-                proc: op.proc,
-                args: op.args,
-            },
-        });
-    }
-
-    /// The cached `(viewid, primary)` for a group, initializing the cache
-    /// from the configuration if needed (the paper's location-server
-    /// lookup).
-    pub(crate) fn cached_target(&mut self, group: GroupId) -> (ViewId, Mid) {
-        if let Some((viewid, view)) = self.cache.get(&group) {
-            return (*viewid, view.primary());
-        }
-        let config = self
-            .peers
-            .get(&group)
-            .unwrap_or_else(|| panic!("unknown group {group} (not in location directory)"));
-        let members = config.members();
-        let primary = members[0];
-        let backups: Vec<Mid> = members.iter().copied().filter(|&m| m != primary).collect();
-        let viewid = ViewId::initial(primary);
-        let view = View::new(primary, backups);
-        self.cache.insert(group, (viewid, view));
-        (viewid, primary)
-    }
-
-    /// Probe all members of a group's configuration for its current view.
-    fn probe_group(&self, group: GroupId, out: &mut Vec<Effect>) {
-        let Some(config) = self.peers.get(&group) else { return };
-        for &m in config.members() {
-            if m != self.mid {
-                out.push(Effect::Send { to: m, msg: Message::Probe { group, reply_to: self.mid } });
-            }
-        }
-    }
-
-    // ------------------------------------------------------------------
-    // call replies (Figure 2 steps 2-4)
-    // ------------------------------------------------------------------
-
-    pub(crate) fn on_call_reply(
+    /// Run one step of `aid`'s call script (Figure 2 steps 1–4) and act
+    /// on what it leaves to do: two-phase commit once every call has
+    /// replied, or an abort. Only a `Running` transaction's script has a
+    /// call outstanding, so the script alone recognizes stale input.
+    pub(crate) fn call_step(
         &mut self,
         now: Tick,
-        call_id: CallId,
-        outcome: CallOutcome,
+        aid: Aid,
         out: &mut Vec<Effect>,
+        step: impl FnOnce(&mut CallScript, &CohortConfig, &mut Directory, &mut Vec<Effect>) -> Next,
     ) {
-        let aid = call_id.aid;
         let Some(txn) = self.coord.get_mut(&aid) else { return };
-        if txn.phase != CoordPhase::Running
-            || call_seq(txn.next_op, txn.call_generation) != call_id.seq
-        {
-            return; // stale or duplicate reply (possibly an old subaction's)
+        match step(&mut txn.script, &self.cfg, &mut self.dir, out) {
+            Next::Wait => {}
+            Next::Commit => self.start_prepare(now, aid, out),
+            Next::Abort(reason) => self.abort_txn(aid, reason, out),
         }
-        match outcome {
-            CallOutcome::Ok { result, pset } => {
-                // "If a reply message arrives, add the elements of the
-                // pset in the reply message to the transaction's pset.
-                // User code at the client can now continue running."
-                txn.pset.merge(&pset);
-                txn.results.push(result);
-                txn.next_op += 1;
-                txn.call_generation = 0;
-                self.advance_txn(now, aid, out);
-            }
-            CallOutcome::Refused(refusal) => {
-                let group = txn.ops[call_op_index(call_id.seq)].group;
-                self.abort_txn(aid, AbortReason::CallRefused { group, refusal }, out);
-            }
-        }
-    }
-
-    pub(crate) fn on_call_reject(
-        &mut self,
-        _now: Tick,
-        call_id: CallId,
-        newer: Option<(ViewId, View)>,
-        out: &mut Vec<Effect>,
-    ) {
-        let aid = call_id.aid;
-        let Some(txn) = self.coord.get(&aid) else { return };
-        if txn.phase != CoordPhase::Running
-            || call_seq(txn.next_op, txn.call_generation) != call_id.seq
-        {
-            return;
-        }
-        let group = txn.ops[call_op_index(call_id.seq)].group;
-        // "If the reply indicates that the view has changed, update the
-        // cache, if possible, and go to step 1." A rejection is proof the
-        // call was not executed in the new view, so the re-send (with the
-        // same call id) is safe.
-        let updated = match newer {
-            Some((viewid, view)) => self.update_cache(group, viewid, view),
-            None => false,
-        };
-        if updated {
-            self.send_call(aid, call_id.seq, out);
-        } else {
-            // "If a more recent view cannot be discovered, abort": probe
-            // first; the call-retry timer aborts if nothing turns up.
-            self.probe_group(group, out);
-        }
-    }
-
-    pub(crate) fn on_call_retry(
-        &mut self,
-        _now: Tick,
-        call_id: CallId,
-        attempt: u32,
-        out: &mut Vec<Effect>,
-    ) {
-        let aid = call_id.aid;
-        let Some(txn) = self.coord.get_mut(&aid) else { return };
-        if txn.phase != CoordPhase::Running
-            || call_seq(txn.next_op, txn.call_generation) != call_id.seq
-        {
-            return;
-        }
-        let group = txn.ops[call_op_index(call_id.seq)].group;
-        if attempt >= self.cfg.call_attempts {
-            if txn.call_generation < self.cfg.call_redo_attempts as u64 {
-                // Section 3.6: "we can abort just the subaction, and
-                // then do the call again as a new subaction." The redo
-                // carries a fresh call id; the server durably drops any
-                // surviving record of the old generation before
-                // executing the new one, so exactly one generation's
-                // effects can commit.
-                txn.call_generation += 1;
-                let seq = call_seq(txn.next_op, txn.call_generation);
-                self.send_call(aid, seq, out);
-                self.probe_group(group, out);
-                out.push(Effect::SetTimer {
-                    after: self.retry_delay(self.cfg.call_retry_interval, 1, retry_kind::CALL),
-                    timer: Timer::CallRetry { call_id: CallId { aid, seq }, attempt: 1 },
-                });
-                return;
-            }
-            // "If there is no reply, abort the transaction" (Figure 2
-            // step 3) — after the redo budget is exhausted.
-            self.abort_txn(aid, AbortReason::CallTimeout { group }, out);
-            return;
-        }
-        self.send_call(aid, call_id.seq, out);
-        self.probe_group(group, out);
-        out.push(Effect::SetTimer {
-            after: self.retry_delay(self.cfg.call_retry_interval, attempt + 1, retry_kind::CALL),
-            timer: Timer::CallRetry { call_id, attempt: attempt + 1 },
-        });
     }
 
     // ------------------------------------------------------------------
@@ -425,7 +261,7 @@ impl Cohort {
 
     fn start_prepare(&mut self, _now: Tick, aid: Aid, out: &mut Vec<Effect>) {
         let Some(txn) = self.coord.get_mut(&aid) else { return };
-        let participants = txn.pset.participant_groups();
+        let participants = txn.script.pset.participant_groups();
         if participants.is_empty() {
             // A transaction that made no calls commits trivially; there is
             // nothing to recover, so no records are needed.
@@ -433,7 +269,7 @@ impl Cohort {
             out.push(Effect::TxnResult {
                 req_id: txn.req_id,
                 aid: Some(aid),
-                outcome: TxnOutcome::Committed { results: txn.results },
+                outcome: TxnOutcome::Committed { results: txn.script.results },
             });
             return;
         }
@@ -450,15 +286,12 @@ impl Cohort {
     /// participants, which can be determined from the pset."
     pub(crate) fn send_prepares(&mut self, aid: Aid, out: &mut Vec<Effect>) {
         let Some(txn) = self.coord.get(&aid) else { return };
-        let pset = txn.pset.clone();
-        let pending: Vec<GroupId> =
-            pset.participant_groups().into_iter().filter(|g| !txn.votes.contains_key(g)).collect();
-        for group in pending {
-            let (_, primary) = self.cached_target(group);
-            out.push(Effect::Send {
-                to: primary,
-                msg: Message::Prepare { aid, pset: pset.clone(), coordinator: self.mid },
-            });
+        let pset = &txn.script.pset;
+        for group in pset.participant_groups() {
+            if !txn.votes.contains_key(&group) {
+                let msg = Message::Prepare { aid, pset: pset.clone(), coordinator: self.mid };
+                self.dir.send_to_primary(group, msg, out);
+            }
         }
     }
 
@@ -475,7 +308,7 @@ impl Cohort {
             return;
         }
         txn.votes.insert(group, read_only);
-        let participants = txn.pset.participant_groups();
+        let participants = txn.script.pset.participant_groups();
         if !participants.iter().all(|g| txn.votes.contains_key(g)) {
             return;
         }
@@ -512,7 +345,7 @@ impl Cohort {
             None => out.push(Effect::TxnResult {
                 req_id: txn.req_id,
                 aid: Some(aid),
-                outcome: TxnOutcome::Committed { results: txn.results.clone() },
+                outcome: TxnOutcome::Committed { results: txn.script.results.clone() },
             }),
         }
         self.delegated.remove(&aid);
@@ -536,11 +369,7 @@ impl Cohort {
             return;
         }
         for group in pending {
-            let (_, primary) = self.cached_target(group);
-            out.push(Effect::Send {
-                to: primary,
-                msg: Message::Commit { aid, coordinator: self.mid },
-            });
+            self.dir.send_to_primary(group, Message::Commit { aid, coordinator: self.mid }, out);
         }
         out.push(Effect::SetTimer {
             after: self.retry_delay(self.cfg.commit_retry_interval, attempt, retry_kind::COMMIT),
@@ -583,12 +412,12 @@ impl Cohort {
             return;
         }
         if let Some(pending) = self.resumed.get(&aid) {
-            for &group in pending.clone().iter() {
-                let (_, primary) = self.cached_target(group);
-                out.push(Effect::Send {
-                    to: primary,
-                    msg: Message::Commit { aid, coordinator: self.mid },
-                });
+            for &group in pending {
+                self.dir.send_to_primary(
+                    group,
+                    Message::Commit { aid, coordinator: self.mid },
+                    out,
+                );
             }
             out.push(Effect::SetTimer {
                 after: self.retry_delay(
@@ -636,14 +465,10 @@ impl Cohort {
             self.abort_txn(aid, AbortReason::PrepareTimeout, out);
             return;
         }
-        let unvoted: Vec<GroupId> = txn
-            .pset
-            .participant_groups()
-            .into_iter()
-            .filter(|g| !txn.votes.contains_key(g))
-            .collect();
-        for group in &unvoted {
-            self.probe_group(*group, out);
+        for group in txn.script.pset.participant_groups() {
+            if !txn.votes.contains_key(&group) {
+                self.dir.probe(group, out);
+            }
         }
         self.send_prepares(aid, out);
         out.push(Effect::SetTimer {
@@ -666,9 +491,8 @@ impl Cohort {
         );
         // "Send abort messages to the participants (determined from the
         // pset), and add an <"aborted", aid> record to the buffer."
-        for group in txn.pset.participant_groups() {
-            let (_, primary) = self.cached_target(group);
-            out.push(Effect::Send { to: primary, msg: Message::Abort { aid } });
+        for group in txn.script.pset.participant_groups() {
+            self.dir.send_to_primary(group, Message::Abort { aid }, out);
         }
         if self.is_active_primary() {
             self.primary_add(EventKind::Aborted { aid }, out);
@@ -691,73 +515,22 @@ impl Cohort {
     // cache maintenance
     // ------------------------------------------------------------------
 
-    /// Update the cached view for `group` if `viewid` is newer. Returns
-    /// whether the cache changed.
-    pub(crate) fn update_cache(&mut self, group: GroupId, viewid: ViewId, view: View) -> bool {
-        match self.cache.get(&group) {
-            Some((cached, _)) if *cached >= viewid => false,
-            _ => {
-                self.cache.insert(group, (viewid, view));
-                true
-            }
-        }
-    }
-
-    pub(crate) fn on_redirect(
-        &mut self,
-        _now: Tick,
-        group: GroupId,
-        newer: Option<(ViewId, View)>,
-        out: &mut Vec<Effect>,
-    ) {
-        let updated = match newer {
-            Some((viewid, view)) => self.update_cache(group, viewid, view),
-            None => false,
-        };
-        if !updated {
-            self.probe_group(group, out);
-            return;
-        }
-        self.resend_after_cache_update(group, out);
-    }
-
-    pub(crate) fn on_probe_reply(
-        &mut self,
-        _now: Tick,
-        group: GroupId,
-        viewid: ViewId,
-        view: View,
-        out: &mut Vec<Effect>,
-    ) {
-        if self.update_cache(group, viewid, view) {
-            self.resend_after_cache_update(group, out);
-        }
-    }
-
-    /// After learning a newer view for `group`, re-send whatever this
-    /// coordinator is currently waiting on from that group. All re-sent
-    /// messages are idempotent: calls carry call ids (duplicate-suppressed
-    /// at the server), prepares and commits are retry-safe.
-    fn resend_after_cache_update(&mut self, group: GroupId, out: &mut Vec<Effect>) {
+    /// After learning a newer view for `group` (from a probe reply or a
+    /// redirect), re-send whatever this coordinator is currently waiting
+    /// on from that group. All re-sent messages are idempotent: calls
+    /// carry call ids (duplicate-suppressed at the server), prepares and
+    /// commits are retry-safe.
+    pub(crate) fn resend_after_cache_update(&mut self, group: GroupId, out: &mut Vec<Effect>) {
         if self.status != Status::Active {
             return;
         }
-        let txns: Vec<(Aid, CoordPhase, Option<u64>)> = self
-            .coord
-            .iter()
-            .map(|(&aid, t)| {
-                let seq = (t.phase == CoordPhase::Running
-                    && t.next_op < t.ops.len()
-                    && t.ops[t.next_op].group == group)
-                    .then_some(call_seq(t.next_op, t.call_generation));
-                (aid, t.phase, seq)
-            })
-            .collect();
-        for (aid, phase, call_seq) in txns {
+        let txns: Vec<(Aid, CoordPhase)> =
+            self.coord.iter().map(|(&aid, t)| (aid, t.phase)).collect();
+        for (aid, phase) in txns {
             match phase {
                 CoordPhase::Running => {
-                    if let Some(seq) = call_seq {
-                        self.send_call(aid, seq, out);
+                    if let Some(txn) = self.coord.get(&aid) {
+                        txn.script.resend_to(&mut self.dir, aid, group, out);
                     }
                 }
                 CoordPhase::Preparing => self.send_prepares(aid, out),
@@ -807,7 +580,7 @@ impl Cohort {
 
     /// The client-side cached view for `group`, if any (for tests).
     pub fn cached_view(&self, group: GroupId) -> Option<(ViewId, &View)> {
-        self.cache.get(&group).map(|(vid, view)| (*vid, view))
+        self.dir.cached(group)
     }
 
     /// Expose an observation hook used by harnesses: number of

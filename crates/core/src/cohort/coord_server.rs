@@ -13,6 +13,7 @@
 //! the client, but if no reply is forthcoming, it can abort the
 //! transaction unilaterally."
 
+use super::calls::CallScript;
 use super::client::{CoordPhase, CoordTxn};
 use super::{Cohort, Effect, Timer};
 use crate::event::EventKind;
@@ -88,16 +89,12 @@ impl Cohort {
         }
         let txn = CoordTxn {
             req_id: 0, // unused for delegated transactions
-            ops: Vec::new(),
-            next_op: 0,
-            pset,
-            results: Vec::new(),
+            script: CallScript::finished(pset),
             phase: CoordPhase::Preparing,
             votes: BTreeMap::new(),
             plist: Vec::new(),
             acks: BTreeSet::new(),
             delegate: Some(reply_to),
-            call_generation: 0,
         };
         self.coord.insert(aid, txn);
         self.send_prepares(aid, out);

@@ -14,12 +14,14 @@
 //! timestamp generator and buffer live in [`CommBuffer`]; lock state
 //! (Figure 1's `lockers`) lives in [`LockTable`].
 
+pub(crate) mod calls;
 mod client;
 mod coord_server;
 mod server;
 mod view_change;
 
-pub use client::{call_op_index, call_seq, AbortReason, CallOp, TxnOutcome};
+pub use calls::{call_op_index, call_seq};
+pub use client::{AbortReason, CallOp, TxnOutcome};
 pub use view_change::{formation_possible, Acceptance};
 
 use crate::buffer::CommBuffer;
@@ -35,6 +37,7 @@ use crate::module::Module;
 use crate::snapshot::{SnapDigest, Snapshot, SnapshotRef};
 use crate::types::{Aid, CallId, GroupId, Mid, Tick, Timestamp, ViewId, Viewstamp};
 use crate::view::{Configuration, View};
+use calls::Directory;
 use client::CoordTxn;
 use std::collections::{BTreeMap, BTreeSet};
 use view_change::VcState;
@@ -74,7 +77,8 @@ pub enum Timer {
     /// Periodic while primary: stream the communication buffer to lagging
     /// backups in background mode (Section 2).
     BufferFlush,
-    /// Client: a remote call has not been answered.
+    /// Client (a replicated client primary or an unreplicated agent): a
+    /// remote call has not been answered.
     CallRetry {
         /// The outstanding call.
         call_id: CallId,
@@ -144,13 +148,6 @@ pub enum Timer {
         /// Sends so far.
         attempt: u32,
     },
-    /// Unreplicated client agent: a remote call has not been answered.
-    AgentCallRetry {
-        /// The outstanding call.
-        call_id: CallId,
-        /// Sends so far.
-        attempt: u32,
-    },
     /// Unreplicated client agent: re-send a `ClientCommit`.
     AgentCommitRetry {
         /// The committing transaction.
@@ -205,7 +202,6 @@ impl Timer {
             Timer::ManagerRetry { .. } => "manager-retry",
             Timer::ClientPingTimeout { .. } => "client-ping-timeout",
             Timer::AgentBeginRetry { .. } => "agent-begin-retry",
-            Timer::AgentCallRetry { .. } => "agent-call-retry",
             Timer::AgentCommitRetry { .. } => "agent-commit-retry",
             Timer::ChunkRetry { .. } => "chunk-retry",
             Timer::LeaseExpiry { .. } => "lease-expiry",
@@ -215,10 +211,19 @@ impl Timer {
 }
 
 /// Per-timer-kind salt constants for retry jitter: distinct timers of
-/// one cohort must not share a jitter draw, or their retries would
-/// collide instead of spreading.
+/// one cohort or agent must not share a jitter draw, or their retries
+/// would collide instead of spreading.
 pub(crate) mod retry_kind {
-    /// Client call retries.
+    use crate::types::Mid;
+
+    /// The jitter salt for a `kind` timer armed by `mid`: mixing in the
+    /// mid makes callers retrying the same thing desynchronize.
+    pub(crate) fn salt(mid: Mid, kind: u64) -> u64 {
+        mid.0.rotate_left(16) ^ kind
+    }
+
+    /// Call retries, at a client primary or an agent alike (both run
+    /// the call path of `calls.rs`).
     pub(crate) const CALL: u64 = 1;
     /// Coordinator prepare rounds.
     pub(crate) const PREPARE: u64 = 2;
@@ -228,8 +233,6 @@ pub(crate) mod retry_kind {
     pub(crate) const MANAGER: u64 = 4;
     /// Agent `ClientBegin` retries.
     pub(crate) const AGENT_BEGIN: u64 = 5;
-    /// Agent call retries.
-    pub(crate) const AGENT_CALL: u64 = 6;
     /// Agent `ClientCommit` retries.
     pub(crate) const AGENT_COMMIT: u64 = 7;
     /// Snapshot chunk re-requests during state transfer.
@@ -602,7 +605,8 @@ pub struct Cohort {
     pub(crate) mid: Mid,
     pub(crate) group: GroupId,
     pub(crate) configuration: Configuration,
-    pub(crate) peers: BTreeMap<GroupId, Configuration>,
+    /// The location directory and the client-side view cache.
+    pub(crate) dir: Directory,
     pub(crate) module: Box<dyn Module>,
 
     // --- stable storage (survives crashes; Section 4.2) ---
@@ -636,7 +640,6 @@ pub struct Cohort {
     pub(crate) ping_pending: BTreeSet<Aid>,
     pub(crate) resumed: BTreeMap<Aid, BTreeSet<GroupId>>,
     pub(crate) next_txn_seq: u64,
-    pub(crate) cache: BTreeMap<GroupId, (ViewId, View)>,
 
     // --- snapshots & state transfer ---
     /// Recently materialized (or fetched) snapshots, oldest first;
@@ -753,7 +756,7 @@ impl Cohort {
             mid,
             group,
             configuration,
-            peers,
+            dir: Directory::new(mid, peers),
             module,
             stable_viewid: viewid,
             status: Status::Active,
@@ -774,7 +777,6 @@ impl Cohort {
             ping_pending: BTreeSet::new(),
             resumed: BTreeMap::new(),
             next_txn_seq: 0,
-            cache: BTreeMap::new(),
             snaps: Vec::new(),
             last_snap: None,
             delta_log: Vec::new(),
@@ -862,7 +864,7 @@ impl Cohort {
             mid,
             group,
             configuration,
-            peers,
+            dir: Directory::new(mid, peers),
             module,
             stable_viewid: viewid,
             status: Status::ViewManager,
@@ -883,7 +885,6 @@ impl Cohort {
             ping_pending: BTreeSet::new(),
             resumed: BTreeMap::new(),
             next_txn_seq: 0,
-            cache: BTreeMap::new(),
             snaps: Vec::new(),
             last_snap: None,
             delta_log: Vec::new(),
@@ -946,10 +947,9 @@ impl Cohort {
     // ------------------------------------------------------------------
 
     /// Backoff-and-jitter delay for retry number `attempt` of a timer of
-    /// the given [`retry_kind`]; mixes this cohort's mid into the jitter
-    /// salt so cohorts retrying the same thing desynchronize.
+    /// the given [`retry_kind`].
     pub(crate) fn retry_delay(&self, base: u64, attempt: u32, kind: u64) -> u64 {
-        self.cfg.retry_delay(base, attempt, self.mid.0.rotate_left(16) ^ kind)
+        self.cfg.retry_delay(base, attempt, retry_kind::salt(self.mid, kind))
     }
 
     /// This cohort's mid.
@@ -1148,10 +1148,14 @@ impl Cohort {
 
             // transaction processing — client side
             Message::CallReply { call_id, outcome } => {
-                self.on_call_reply(now, call_id, outcome, &mut out)
+                self.call_step(now, call_id.aid, &mut out, |script, cfg, dir, out| {
+                    script.on_reply(cfg, dir, call_id, outcome, out)
+                })
             }
             Message::CallReject { call_id, newer } => {
-                self.on_call_reject(now, call_id, newer, &mut out)
+                self.call_step(now, call_id.aid, &mut out, |script, _, dir, out| {
+                    script.on_reject(dir, call_id, newer, out)
+                })
             }
             Message::PrepareOk { aid, group, read_only } => {
                 self.on_prepare_ok(now, aid, group, read_only, &mut out)
@@ -1160,12 +1164,20 @@ impl Cohort {
                 self.on_prepare_refuse(now, aid, group, &mut out)
             }
             Message::CommitDone { aid, group } => self.on_commit_done(aid, group, &mut out),
-            Message::Redirect { group, newer } => self.on_redirect(now, group, newer, &mut out),
+            Message::Redirect { group, newer } => {
+                if newer.is_some_and(|(viewid, view)| self.dir.learn(group, viewid, view)) {
+                    self.resend_after_cache_update(group, &mut out);
+                } else {
+                    self.dir.probe(group, &mut out);
+                }
+            }
             Message::QueryReply { aid, outcome } => {
                 self.on_query_reply(now, aid, outcome, &mut out)
             }
             Message::ProbeReply { group, viewid, view } => {
-                self.on_probe_reply(now, group, viewid, view, &mut out)
+                if self.dir.learn(group, viewid, view) {
+                    self.resend_after_cache_update(group, &mut out);
+                }
             }
 
             // replication
@@ -1240,7 +1252,9 @@ impl Cohort {
             Timer::Heartbeat => self.on_heartbeat(now, &mut out),
             Timer::BufferFlush => self.on_buffer_flush(&mut out),
             Timer::CallRetry { call_id, attempt } => {
-                self.on_call_retry(now, call_id, attempt, &mut out)
+                self.call_step(now, call_id.aid, &mut out, |script, cfg, dir, out| {
+                    script.on_retry(cfg, dir, call_id, attempt, out)
+                })
             }
             Timer::PrepareRetry { aid, attempt } => {
                 self.on_prepare_retry(now, aid, attempt, &mut out)
@@ -1268,9 +1282,7 @@ impl Cohort {
                 }
             }
             // Agent timers never reach a cohort.
-            Timer::AgentBeginRetry { .. }
-            | Timer::AgentCallRetry { .. }
-            | Timer::AgentCommitRetry { .. } => {}
+            Timer::AgentBeginRetry { .. } | Timer::AgentCommitRetry { .. } => {}
         }
         out
     }
@@ -2097,14 +2109,8 @@ impl Cohort {
     /// occurred sends a query to another cohort that might know",
     /// Section 3.4).
     pub(crate) fn send_outcome_query(&self, aid: Aid, out: &mut Vec<Effect>) {
-        let Some(config) = self.peers.get(&aid.coordinator_group()) else {
-            return;
-        };
-        for &m in config.members() {
-            if m != self.mid {
-                out.push(Effect::Send { to: m, msg: Message::Query { aid, reply_to: self.mid } });
-            }
-        }
+        let query = Message::Query { aid, reply_to: self.mid };
+        self.dir.send_to_members(aid.coordinator_group(), &query, out);
     }
 
     fn on_probe(&self, group: GroupId, reply_to: Mid, out: &mut Vec<Effect>) {

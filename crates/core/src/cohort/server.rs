@@ -92,7 +92,7 @@ impl Cohort {
     /// Drop stored records (and parked executions) of other generations
     /// of the same logical call.
     fn drop_orphan_generations(&mut self, call_id: CallId, out: &mut Vec<Effect>) {
-        use super::client::call_op_index;
+        use super::calls::call_op_index;
         let aid = call_id.aid;
         let orphans: Vec<CallId> = self
             .gstate
@@ -518,7 +518,7 @@ impl Cohort {
                 // the coordinator group's cached primary so it can finish
                 // phase two.
                 let ack_to =
-                    self.cache.get(&aid.coordinator_group()).map(|(_, view)| view.primary());
+                    self.dir.cached(aid.coordinator_group()).map(|(_, view)| view.primary());
                 if self.gstate.status(aid).is_none() {
                     self.on_commit(now, aid, ack_to, out);
                 }

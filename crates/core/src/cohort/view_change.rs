@@ -559,8 +559,8 @@ impl Cohort {
             match phase {
                 CoordPhase::Running => {
                     if let Some(txn) = self.coord.get(&aid) {
-                        if txn.next_op < txn.ops.len() {
-                            let seq = txn.next_op as u64;
+                        if let Some(op) = txn.script.pending_op() {
+                            let seq = op as u64;
                             out.push(Effect::SetTimer {
                                 after: self.retry_delay(
                                     self.cfg.call_retry_interval,

@@ -86,7 +86,6 @@ impl Metrics {
             | Timer::CommitRetry { .. }
             | Timer::ManagerRetry { .. }
             | Timer::AgentBeginRetry { .. }
-            | Timer::AgentCallRetry { .. }
             | Timer::AgentCommitRetry { .. }
             | Timer::ChunkRetry { .. } => (true, true),
             Timer::ForceCheck { .. }

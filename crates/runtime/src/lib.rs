@@ -1262,6 +1262,7 @@ impl std::fmt::Debug for Cluster {
 mod tests {
     use super::*;
     use vsr_app::counter;
+    use vsr_core::cohort::AbortReason;
     use vsr_core::module::NullModule;
 
     const CLIENT: GroupId = GroupId(1);
@@ -1286,6 +1287,20 @@ mod tests {
                 panic!("expected commit, got {other:?}")
             }
         }
+        c.shutdown();
+    }
+
+    #[test]
+    fn unknown_group_script_aborts_and_the_coordinator_keeps_serving() {
+        let c = cluster();
+        let bogus = GroupId(99);
+        let outcome = c.submit(CLIENT, vec![counter::incr(bogus, 0, 1)]).unwrap();
+        assert_eq!(
+            outcome,
+            TxnOutcome::Aborted { reason: AbortReason::UnknownGroup { group: bogus } }
+        );
+        let outcome = c.submit(CLIENT, vec![counter::incr(SERVER, 0, 5)]).unwrap();
+        assert!(matches!(outcome, TxnOutcome::Committed { .. }), "got {outcome:?}");
         c.shutdown();
     }
 

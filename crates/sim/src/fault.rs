@@ -107,30 +107,7 @@ impl FaultPlan {
         let mut ordered: Vec<&(u64, FaultEvent)> = self.events.iter().collect();
         ordered.sort_by_key(|entry| entry.0);
         for (time, event) in ordered {
-            match event {
-                FaultEvent::Crash(mid) => world.schedule_crash(*time, *mid),
-                FaultEvent::CrashDiskLoss(mid) => world.schedule_crash_disk_loss(*time, *mid),
-                FaultEvent::Recover(mid) => world.schedule_recover(*time, *mid),
-                FaultEvent::Partition(groups) => world.schedule_partition(*time, groups.clone()),
-                FaultEvent::Heal => world.schedule_heal(*time),
-                FaultEvent::OneWay { from, to } => {
-                    world.schedule_block_one_way(*time, from.clone(), to.clone())
-                }
-                FaultEvent::HealOneWay => world.schedule_heal_one_way(*time),
-                FaultEvent::LinkLoss { a, b, permille } => {
-                    world.schedule_link_loss(*time, *a, *b, *permille)
-                }
-                FaultEvent::ClearLinkLoss { a, b } => world.schedule_clear_link_loss(*time, *a, *b),
-                FaultEvent::SlowNode { mid, factor } => {
-                    world.schedule_slow_node(*time, *mid, *factor)
-                }
-                FaultEvent::SkewTimers { mids, num, den } => {
-                    world.schedule_skew_timers(*time, mids.clone(), *num, *den)
-                }
-                FaultEvent::DropClasses(names) => world.schedule_drop_classes(*time, names.clone()),
-                FaultEvent::ClearDropClasses => world.schedule_clear_drop_classes(*time),
-                FaultEvent::CorruptChunks(n) => world.schedule_corrupt_chunks(*time, *n),
-            }
+            world.schedule(*time, event.clone());
         }
     }
 

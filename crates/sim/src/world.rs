@@ -2,6 +2,7 @@
 //! deterministic [`SimNet`], executes their effects, injects workloads
 //! and faults, and collects metrics and observations.
 
+use crate::fault::FaultEvent;
 use std::collections::{BTreeMap, BTreeSet};
 use std::rc::Rc;
 use vsr_core::agent::ClientAgent;
@@ -188,20 +189,7 @@ impl WorldBuilder {
 /// A scheduled control action.
 #[derive(Debug, Clone)]
 enum Control {
-    Crash(Mid),
-    CrashDiskLoss(Mid),
-    Recover(Mid),
-    Partition(Vec<Vec<Mid>>),
-    Heal,
-    BlockOneWay { from: Vec<Mid>, to: Vec<Mid> },
-    HealOneWay,
-    LinkLoss { a: Mid, b: Mid, permille: u16 },
-    ClearLinkLoss { a: Mid, b: Mid },
-    SlowNode { mid: Mid, factor: u64 },
-    SkewTimers { mids: Vec<Mid>, num: u64, den: u64 },
-    DropClasses(Vec<String>),
-    ClearDropClasses,
-    CorruptChunks(u32),
+    Fault(FaultEvent),
     Submit { group: GroupId, ops: Vec<CallOp>, req_id: u64 },
 }
 
@@ -659,69 +647,10 @@ impl World {
         self.crashed.keys().copied().collect()
     }
 
-    /// Schedule a crash at time `at`.
-    pub fn schedule_crash(&mut self, at: u64, mid: Mid) {
-        self.push_control(at, Control::Crash(mid));
-    }
-
-    /// Schedule a crash-with-disk-loss at time `at`.
-    pub fn schedule_crash_disk_loss(&mut self, at: u64, mid: Mid) {
-        self.push_control(at, Control::CrashDiskLoss(mid));
-    }
-
-    /// Schedule a recovery at time `at`.
-    pub fn schedule_recover(&mut self, at: u64, mid: Mid) {
-        self.push_control(at, Control::Recover(mid));
-    }
-
-    /// Schedule a partition at time `at`.
-    pub fn schedule_partition(&mut self, at: u64, groups: Vec<Vec<Mid>>) {
-        self.push_control(at, Control::Partition(groups));
-    }
-
-    /// Schedule a heal at time `at`.
-    pub fn schedule_heal(&mut self, at: u64) {
-        self.push_control(at, Control::Heal);
-    }
-
-    /// Schedule a one-way block at time `at`.
-    pub fn schedule_block_one_way(&mut self, at: u64, from: Vec<Mid>, to: Vec<Mid>) {
-        self.push_control(at, Control::BlockOneWay { from, to });
-    }
-
-    /// Schedule removal of all one-way blocks at time `at`.
-    pub fn schedule_heal_one_way(&mut self, at: u64) {
-        self.push_control(at, Control::HealOneWay);
-    }
-
-    /// Schedule a per-link loss override (`permille`/1000 probability).
-    pub fn schedule_link_loss(&mut self, at: u64, a: Mid, b: Mid, permille: u16) {
-        self.push_control(at, Control::LinkLoss { a, b, permille });
-    }
-
-    /// Schedule removal of a per-link loss override.
-    pub fn schedule_clear_link_loss(&mut self, at: u64, a: Mid, b: Mid) {
-        self.push_control(at, Control::ClearLinkLoss { a, b });
-    }
-
-    /// Schedule a gray slowdown (`factor == 1` restores).
-    pub fn schedule_slow_node(&mut self, at: u64, mid: Mid, factor: u64) {
-        self.push_control(at, Control::SlowNode { mid, factor });
-    }
-
-    /// Schedule a timer skew over a cohort (`num == den` restores).
-    pub fn schedule_skew_timers(&mut self, at: u64, mids: Vec<Mid>, num: u64, den: u64) {
-        self.push_control(at, Control::SkewTimers { mids, num, den });
-    }
-
-    /// Schedule a targeted message-class drop window start.
-    pub fn schedule_drop_classes(&mut self, at: u64, names: Vec<String>) {
-        self.push_control(at, Control::DropClasses(names));
-    }
-
-    /// Schedule the end of a message-class drop window.
-    pub fn schedule_clear_drop_classes(&mut self, at: u64) {
-        self.push_control(at, Control::ClearDropClasses);
+    /// Schedule `fault` at absolute time `at`. Faults scheduled for the
+    /// same tick run in the order they were scheduled.
+    pub fn schedule(&mut self, at: u64, fault: FaultEvent) {
+        self.push_control(at, Control::Fault(fault));
     }
 
     /// Corrupt the next `n` in-flight snapshot chunks (one flipped
@@ -729,11 +658,6 @@ impl World {
     /// every one; fetchers re-request the affected index.
     pub fn corrupt_chunks(&mut self, n: u32) {
         self.corrupt_chunks_budget = self.corrupt_chunks_budget.saturating_add(n);
-    }
-
-    /// Schedule a chunk-corruption window of `n` chunks at time `at`.
-    pub fn schedule_corrupt_chunks(&mut self, at: u64, n: u32) {
-        self.push_control(at, Control::CorruptChunks(n));
     }
 
     fn push_control(&mut self, at: u64, control: Control) {
@@ -745,29 +669,31 @@ impl World {
 
     fn run_control(&mut self, control: Control) {
         match control {
-            Control::Crash(mid) => self.crash(mid),
-            Control::CrashDiskLoss(mid) => self.crash_disk_loss(mid),
-            Control::Recover(mid) => self.recover(mid),
-            Control::Partition(groups) => self.partition(&groups),
-            Control::Heal => self.heal(),
-            Control::BlockOneWay { from, to } => self.block_one_way(&from, &to),
-            Control::HealOneWay => self.heal_one_way(),
-            Control::LinkLoss { a, b, permille } => {
-                self.set_link_loss(a, b, f64::from(permille) / 1000.0)
-            }
-            Control::ClearLinkLoss { a, b } => self.clear_link_loss(a, b),
-            Control::SlowNode { mid, factor } => self.set_node_slowdown(mid, factor),
-            Control::SkewTimers { mids, num, den } => {
-                for mid in mids {
-                    self.set_timer_skew(mid, num, den);
+            Control::Fault(fault) => match fault {
+                FaultEvent::Crash(mid) => self.crash(mid),
+                FaultEvent::CrashDiskLoss(mid) => self.crash_disk_loss(mid),
+                FaultEvent::Recover(mid) => self.recover(mid),
+                FaultEvent::Partition(groups) => self.partition(&groups),
+                FaultEvent::Heal => self.heal(),
+                FaultEvent::OneWay { from, to } => self.block_one_way(&from, &to),
+                FaultEvent::HealOneWay => self.heal_one_way(),
+                FaultEvent::LinkLoss { a, b, permille } => {
+                    self.set_link_loss(a, b, f64::from(permille) / 1000.0)
                 }
-            }
-            Control::DropClasses(names) => {
-                let refs: Vec<&str> = names.iter().map(String::as_str).collect();
-                self.set_class_drop(&refs);
-            }
-            Control::ClearDropClasses => self.clear_class_drop(),
-            Control::CorruptChunks(n) => self.corrupt_chunks(n),
+                FaultEvent::ClearLinkLoss { a, b } => self.clear_link_loss(a, b),
+                FaultEvent::SlowNode { mid, factor } => self.set_node_slowdown(mid, factor),
+                FaultEvent::SkewTimers { mids, num, den } => {
+                    for mid in mids {
+                        self.set_timer_skew(mid, num, den);
+                    }
+                }
+                FaultEvent::DropClasses(names) => {
+                    let refs: Vec<&str> = names.iter().map(String::as_str).collect();
+                    self.set_class_drop(&refs);
+                }
+                FaultEvent::ClearDropClasses => self.clear_class_drop(),
+                FaultEvent::CorruptChunks(n) => self.corrupt_chunks(n),
+            },
             Control::Submit { group, ops, req_id } => self.dispatch_submit(req_id, group, ops),
         }
     }

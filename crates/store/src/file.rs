@@ -208,7 +208,7 @@ impl Store for FileStore {
                 return Ok(());
             }
             DurableEvent::Sync => {}
-            _ => {
+            DurableEvent::Record(_) | DurableEvent::StableViewId(_) => {
                 if self.written >= self.segment_bytes {
                     self.rotate()?;
                 }

@@ -106,7 +106,9 @@ impl FsyncPolicy {
     pub(crate) fn group_batch(self) -> Option<u64> {
         match self {
             FsyncPolicy::Group { max_batch, .. } => Some(u64::from(max_batch.max(1))),
-            _ => None,
+            FsyncPolicy::EveryRecord | FsyncPolicy::OnForce | FsyncPolicy::OnStableViewIdOnly => {
+                None
+            }
         }
     }
 

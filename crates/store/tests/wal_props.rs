@@ -56,7 +56,9 @@ fn written_records(events: &[DurableEvent]) -> Vec<EventRecord> {
         .iter()
         .filter_map(|e| match e {
             DurableEvent::Record(r) => Some(r.clone()),
-            _ => None,
+            DurableEvent::StableViewId(_) | DurableEvent::Checkpoint(_) | DurableEvent::Sync => {
+                None
+            }
         })
         .collect()
 }
@@ -66,7 +68,7 @@ fn max_stable_viewid(events: &[DurableEvent], fallback: ViewId) -> ViewId {
         .iter()
         .filter_map(|e| match e {
             DurableEvent::StableViewId(v) => Some(*v),
-            _ => None,
+            DurableEvent::Record(_) | DurableEvent::Checkpoint(_) | DurableEvent::Sync => None,
         })
         .max()
         .unwrap_or(fallback)

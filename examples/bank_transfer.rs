@@ -12,6 +12,7 @@ use viewstamped_replication::app::bank::{self, BankModule};
 use viewstamped_replication::core::cohort::TxnOutcome;
 use viewstamped_replication::core::module::NullModule;
 use viewstamped_replication::core::types::{GroupId, Mid};
+use viewstamped_replication::sim::fault::FaultEvent;
 use viewstamped_replication::sim::workload;
 use viewstamped_replication::sim::WorldBuilder;
 
@@ -47,8 +48,8 @@ fn main() {
 
     // Crash branch A's primary mid-workload; recover it later.
     println!("scheduling: crash branch-A primary at t=8000, recover at t=14000\n");
-    world.schedule_crash(8_000, Mid(1));
-    world.schedule_recover(14_000, Mid(1));
+    world.schedule(8_000, FaultEvent::Crash(Mid(1)));
+    world.schedule(14_000, FaultEvent::Recover(Mid(1)));
 
     world.run_until(40_000);
 

@@ -4,11 +4,11 @@
 use std::collections::BTreeMap;
 use vsr_app::counter;
 use vsr_core::agent::ClientAgent;
-use vsr_core::cohort::{AbortReason, CallOp, Effect, Timer, TxnOutcome};
+use vsr_core::cohort::{call_op_index, AbortReason, CallOp, Effect, Timer, TxnOutcome};
 use vsr_core::config::CohortConfig;
 use vsr_core::messages::{CallOutcome, Message};
 use vsr_core::pset::PSet;
-use vsr_core::types::{Aid, GroupId, Mid, Timestamp, ViewId, Viewstamp};
+use vsr_core::types::{Aid, CallId, GroupId, Mid, Timestamp, ViewId, Viewstamp};
 use vsr_core::view::Configuration;
 
 const COORD: GroupId = GroupId(1);
@@ -238,4 +238,68 @@ fn call_reject_with_newer_view_resends_to_new_primary() {
     assert_eq!(resent.0, Mid(2), "to the new primary");
     assert_eq!(resent.1, newer_vid, "with the new viewid");
     assert_eq!(resent.2, call_id, "same call id (rejection proves non-execution)");
+}
+
+/// The call sent and the retry timer armed by one step of the agent.
+fn call_and_timer(effects: &[Effect]) -> (Option<CallId>, Option<Timer>) {
+    let call = sends(effects).iter().find_map(|(to, m)| match m {
+        Message::Call { call_id, .. } if *to == SERVER_PRIMARY => Some(*call_id),
+        _ => None,
+    });
+    let timer = effects.iter().find_map(|e| match e {
+        Effect::SetTimer { timer, .. } => Some(timer.clone()),
+        _ => None,
+    });
+    (call, timer)
+}
+
+#[test]
+fn unanswered_call_is_retried_redone_then_timed_out() {
+    let mut a = agent();
+    let cfg = CohortConfig::new();
+    assert!(cfg.call_attempts >= 2 && cfg.call_redo_attempts >= 1);
+    a.begin_transaction(0, 7, vec![counter::incr(SERVER, 0, 1)]);
+    let effects =
+        a.on_message(5, COORD_PRIMARY, Message::ClientBeginAck { req: 7, aid: test_aid() });
+    let (first, timer) = call_and_timer(&effects);
+    let first = first.expect("call sent");
+    let mut timer = timer.expect("call retry armed");
+    let mut calls = vec![first];
+    let mut now = 10;
+    // Feed back whatever retry timer the agent armed until it gives up.
+    let outcome = loop {
+        now += 1_000;
+        let effects = a.on_timer(now, timer);
+        if let Some(outcome) = effects.iter().find_map(|e| match e {
+            Effect::TxnResult { outcome, .. } => Some(outcome.clone()),
+            _ => None,
+        }) {
+            assert!(
+                sends(&effects).iter().any(|(to, m)| *to == COORD_PRIMARY
+                    && matches!(m, Message::ClientAbort { .. })),
+                "the coordinator-server is told about the abort"
+            );
+            break outcome;
+        }
+        let (call, next) = call_and_timer(&effects);
+        calls.push(call.expect("every firing re-sends the call"));
+        assert!(
+            sends(&effects).iter().any(|(_, m)| matches!(m, Message::Probe { group: SERVER, .. })),
+            "every firing probes the server group"
+        );
+        timer = next.expect("every firing re-arms the retry");
+    };
+    assert_eq!(outcome, TxnOutcome::Aborted { reason: AbortReason::CallTimeout { group: SERVER } });
+    // `call_attempts` sends per subaction, one subaction per generation:
+    // the first and `call_redo_attempts` redos, each under a fresh call id.
+    let per_generation = cfg.call_attempts as usize;
+    assert_eq!(calls.len(), per_generation * (cfg.call_redo_attempts as usize + 1));
+    for (i, call_id) in calls.iter().enumerate() {
+        assert_eq!(call_id.aid, test_aid());
+        assert_eq!(call_op_index(call_id.seq), 0, "always the script's first call");
+        assert_eq!(call_id.seq >> 32, (i / per_generation) as u64, "send {i}'s generation");
+    }
+    assert_eq!(calls[per_generation - 1], first, "retries reuse the call id");
+    assert_ne!(calls[per_generation], first, "the redo runs under a fresh call id");
+    assert_eq!(a.active_txns(), 0);
 }

@@ -96,6 +96,30 @@ fn agent_application_error_aborts() {
 }
 
 #[test]
+fn script_naming_an_unknown_group_aborts_up_front() {
+    let mut w = world(5);
+    let bogus = GroupId(99);
+    let via_agent = w.submit_via_agent(AGENT, vec![counter::incr(bogus, 0, 1)]);
+    let via_cohort = w.submit(COORD, vec![counter::incr(SERVER, 0, 1), counter::incr(bogus, 0, 1)]);
+    w.run_for(3_000);
+    for req in [via_agent, via_cohort] {
+        let record = w.result(req).expect("answered");
+        let expected = TxnOutcome::Aborted { reason: AbortReason::UnknownGroup { group: bogus } };
+        assert_eq!(record.outcome, expected);
+        assert_eq!(record.aid, None, "no transaction was created");
+    }
+    // Neither the agent nor the coordinating cohort is harmed: both still
+    // commit a valid script.
+    let via_agent = w.submit_via_agent(AGENT, vec![counter::incr(SERVER, 0, 2)]);
+    w.run_for(3_000);
+    let via_cohort = w.submit(COORD, vec![counter::incr(SERVER, 0, 3)]);
+    w.run_for(3_000);
+    assert_eq!(commit_value(&w, via_agent), Some(2));
+    assert_eq!(commit_value(&w, via_cohort), Some(5));
+    w.verify().unwrap();
+}
+
+#[test]
 fn coordinator_server_crash_during_commit_is_recoverable() {
     // Crash the coordinator-server primary right after submitting; the
     // agent retries ClientBegin/ClientCommit against the group's new

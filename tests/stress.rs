@@ -11,7 +11,7 @@ use vsr_core::cohort::TxnOutcome;
 use vsr_core::module::NullModule;
 use vsr_core::types::{GroupId, Mid};
 use vsr_runtime::ClusterBuilder;
-use vsr_sim::fault::FaultPlan;
+use vsr_sim::fault::{FaultEvent, FaultPlan};
 use vsr_sim::world::{World, WorldBuilder};
 use vsr_simnet::NetConfig;
 use vsr_store::FsyncPolicy;
@@ -44,10 +44,10 @@ fn queue_preserves_fifo_under_primary_crashes() {
     // Enqueue 30 numbered items while the queue group's bootstrap
     // primary crashes and recovers twice; each enqueue is retried until
     // it commits so the intended sequence is fully enqueued.
-    w.schedule_crash(5_000, Mid(1));
-    w.schedule_recover(9_000, Mid(1));
-    w.schedule_crash(14_000, Mid(1));
-    w.schedule_recover(18_000, Mid(1));
+    w.schedule(5_000, FaultEvent::Crash(Mid(1)));
+    w.schedule(9_000, FaultEvent::Recover(Mid(1)));
+    w.schedule(14_000, FaultEvent::Crash(Mid(1)));
+    w.schedule(18_000, FaultEvent::Recover(Mid(1)));
     let mut enqueued = Vec::new();
     for i in 0..30u64 {
         let item = format!("item-{i}");
@@ -186,9 +186,9 @@ fn five_group_world_stays_consistent_for_a_long_run() {
             );
         }
     }
-    w.schedule_partition(
+    w.schedule(
         8_000,
-        vec![
+        FaultEvent::Partition(vec![
             vec![Mid(1)],
             vec![
                 Mid(2),
@@ -206,9 +206,9 @@ fn five_group_world_stays_consistent_for_a_long_run() {
                 Mid(14),
                 Mid(15),
             ],
-        ],
+        ]),
     );
-    w.schedule_heal(14_000);
+    w.schedule(14_000, FaultEvent::Heal);
     w.run_until(60_000);
     w.verify().unwrap();
     let m = w.metrics();
