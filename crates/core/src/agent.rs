@@ -180,13 +180,22 @@ impl ClientAgent {
             Message::ClientPing { aid, reply_to } if self.by_aid.contains_key(&aid) => {
                 out.push(Effect::Send { to: reply_to, msg: Message::ClientPong { aid } });
             }
-            Message::ProbeReply { group, viewid, view }
-            | Message::Redirect { group, newer: Some((viewid, view)) } => {
+            Message::ProbeReply { group, viewid, view } => {
                 if self.dir.learn(group, viewid, view) {
                     self.resend_current(group, &mut out);
                 }
             }
-            Message::Redirect { group, newer: None } => self.dir.probe(group, &mut out),
+            // As at a cohort: a redirect naming a newer view re-sends at
+            // once; one naming no view, or one the directory already
+            // knows or has superseded, says only that the cached primary
+            // is wrong, so probe the group for its current view.
+            Message::Redirect { group, newer } => {
+                if newer.is_some_and(|(viewid, view)| self.dir.learn(group, viewid, view)) {
+                    self.resend_current(group, &mut out);
+                } else {
+                    self.dir.probe(group, &mut out);
+                }
+            }
             // An agent is not a cohort: group-directed traffic (calls,
             // two-phase commit, buffer replication, view management) can
             // only reach it misdirected or stale, and a ClientPing for an
@@ -203,6 +212,7 @@ impl ClientAgent {
             | Message::Abort { .. }
             | Message::Query { .. }
             | Message::QueryReply { .. }
+            | Message::Horizon { .. }
             | Message::ClientBegin { .. }
             | Message::ClientCommit { .. }
             | Message::ClientAbort { .. }

@@ -572,6 +572,22 @@ impl Cohort {
         self.resumed.clear();
     }
 
+    /// The coordinator horizon (DESIGN §14): the lowest aid of this group
+    /// that may still be running or in phase two here — the least of the
+    /// coordinated, delegated and resumed transactions and the next aid
+    /// to be assigned. Every aid of this group ordered below it has
+    /// finished: its transactions committed with every participant
+    /// acknowledging, aborted, or belong to an older view and are not
+    /// among the resumed ones (which the automatic-abort rule of Section
+    /// 3.1 covers). Meaningful only at the active primary.
+    pub(crate) fn done_below(&self) -> Aid {
+        let next = Aid { group: self.group, view: self.cur_viewid, seq: self.next_txn_seq };
+        [self.coord.keys().next(), self.delegated.keys().next(), self.resumed.keys().next()]
+            .into_iter()
+            .flatten()
+            .fold(next, |low, &aid| low.min(aid))
+    }
+
     /// Observe the cohort's current coordinator load (for tests and
     /// harnesses).
     pub fn active_coordinated_txns(&self) -> usize {

@@ -630,6 +630,10 @@ pub struct Cohort {
     pub(crate) waiting_calls: Vec<WaitingCall>,
     pub(crate) prepared: BTreeSet<Aid>,
     pub(crate) last_activity: BTreeMap<Aid, Tick>,
+    /// Per coordinator group, the gap in the finished set last seen and
+    /// since when (see [`GroupState::first_gap`]); a gap that outlives
+    /// `stale_txn_timeout` is asked about.
+    pub(crate) finished_gaps: BTreeMap<GroupId, (Aid, Tick)>,
 
     // --- coordinator-side volatile state ---
     pub(crate) coord: BTreeMap<Aid, CoordTxn>,
@@ -772,6 +776,7 @@ impl Cohort {
             waiting_calls: Vec::new(),
             prepared: BTreeSet::new(),
             last_activity: BTreeMap::new(),
+            finished_gaps: BTreeMap::new(),
             coord: BTreeMap::new(),
             delegated: BTreeMap::new(),
             ping_pending: BTreeSet::new(),
@@ -880,6 +885,7 @@ impl Cohort {
             waiting_calls: Vec::new(),
             prepared: BTreeSet::new(),
             last_activity: BTreeMap::new(),
+            finished_gaps: BTreeMap::new(),
             coord: BTreeMap::new(),
             delegated: BTreeMap::new(),
             ping_pending: BTreeSet::new(),
@@ -1001,6 +1007,11 @@ impl Cohort {
     /// The group state (read-only; for checkers and tests).
     pub fn gstate(&self) -> &GroupState {
         &self.gstate
+    }
+
+    /// The lock table (read-only; for checkers and tests).
+    pub fn locks(&self) -> &LockTable {
+        &self.locks
     }
 
     /// The history (read-only).
@@ -1133,6 +1144,7 @@ impl Cohort {
             }
             Message::Abort { aid } => self.on_abort_msg(now, aid, &mut out),
             Message::Query { aid, reply_to } => self.on_query(aid, reply_to, &mut out),
+            Message::Horizon { done_below } => self.on_horizon(done_below, &mut out),
             Message::ClientBegin { req, reply_to } => self.on_client_begin(req, reply_to, &mut out),
             Message::ClientCommit { aid, pset, reply_to } => {
                 self.on_client_commit(now, aid, pset, reply_to, &mut out)
@@ -1789,7 +1801,7 @@ impl Cohort {
         for r in delta {
             // Pure replay: reconstructing the primary's state must not
             // re-emit the observations the original application emitted.
-            gstate.apply_record(&r.kind);
+            gstate.apply_record(self.group, &r.kind);
         }
         self.store_snapshot(std::sync::Arc::clone(snap));
         self.install_new_view(now, viewid, view, history, gstate, out);
@@ -1968,56 +1980,37 @@ impl Cohort {
     }
 
     /// Apply an event record's gstate transition. Used identically by the
-    /// primary (at `add` time) and the backups (at delivery time), which
-    /// is what keeps replica states convergent.
+    /// primary (at `add` time), the backups (at delivery time) and crash
+    /// recovery, which is what keeps replica states convergent; the
+    /// transition itself is [`GroupState::apply_record`], shared with
+    /// newview delta replay, and this adds the observations.
     pub(crate) fn apply_gstate_record(&mut self, record: &EventRecord, out: &mut Vec<Effect>) {
-        match &record.kind {
-            EventKind::CompletedCall { aid, record: call } => {
-                self.gstate.store_call(*aid, call.clone());
-            }
-            EventKind::Committing { aid, plist } => {
-                self.gstate.set_status(
-                    *aid,
-                    crate::gstate::TxnStatus::Committing { plist: plist.clone() },
-                );
-            }
+        debug_assert!(
+            !matches!(record.kind, EventKind::NewView { .. }),
+            "newview records are installed, not applied"
+        );
+        // Phase two is complete at the coordinator: its `done` record
+        // retires the status instead of storing `Done`.
+        let gced =
+            matches!(record.kind, EventKind::Done { aid } if self.gstate.status(aid).is_some());
+        let accesses = self.gstate.apply_record(self.group, &record.kind);
+        let (group, mid) = (self.group, self.mid);
+        match record.kind {
             EventKind::Committed { aid } => {
-                let accesses = self.gstate.install_commit(*aid);
-                out.push(Effect::Observe(Observation::TxnCommitted {
-                    group: self.group,
-                    mid: self.mid,
-                    aid: *aid,
-                    accesses,
-                }));
+                out.push(Effect::Observe(Observation::TxnCommitted { group, mid, aid, accesses }));
             }
             EventKind::Aborted { aid } => {
-                self.gstate.discard_abort(*aid);
-                out.push(Effect::Observe(Observation::TxnAborted {
-                    group: self.group,
-                    mid: self.mid,
-                    aid: *aid,
-                }));
+                out.push(Effect::Observe(Observation::TxnAborted { group, mid, aid }));
             }
-            EventKind::Done { aid } => {
-                // Phase two is complete: every participant acknowledged
-                // the outcome, so no protocol-relevant query for this
-                // transaction can still arrive. Retire its status entry
-                // instead of storing `Done` — this is what keeps the
-                // status map from growing without bound.
-                if self.gstate.retire(*aid) {
-                    out.push(Effect::Observe(Observation::StatusesGced {
-                        group: self.group,
-                        mid: self.mid,
-                        n: 1,
-                    }));
-                }
+            EventKind::Done { .. } if gced => {
+                out.push(Effect::Observe(Observation::StatusesGced { group, mid, n: 1 }));
             }
-            EventKind::CallsDropped { aid, dropped } => {
-                self.gstate.drop_calls(*aid, dropped);
-            }
-            EventKind::NewView { .. } => {
-                debug_assert!(false, "newview records are installed, not applied");
-            }
+            EventKind::CompletedCall { .. }
+            | EventKind::Committing { .. }
+            | EventKind::Done { .. }
+            | EventKind::CallsDropped { .. }
+            | EventKind::Horizon { .. }
+            | EventKind::NewView { .. } => {}
         }
     }
 
@@ -2102,6 +2095,24 @@ impl Cohort {
             self.last_activity.insert(aid, now);
             self.send_outcome_query(aid, out);
         }
+        // Runs of finished transactions that a gap keeps apart: once the
+        // gap has lasted as long as a stale transaction, ask the
+        // coordinator about its first aid. Its primary answers with its
+        // horizon, whose record collapses the runs below it.
+        let mut gaps = BTreeMap::new();
+        for group in self.gstate.finished_groups() {
+            let Some(gap) = self.gstate.first_gap(group) else { continue };
+            let mut since = match self.finished_gaps.get(&group) {
+                Some(&(seen, since)) if seen == gap => since,
+                _ => now,
+            };
+            if now.saturating_sub(since) > self.cfg.stale_txn_timeout {
+                since = now;
+                self.send_outcome_query(gap, out);
+            }
+            gaps.insert(group, (gap, since));
+        }
+        self.finished_gaps = gaps;
     }
 
     /// Send an outcome query to every member of the transaction's

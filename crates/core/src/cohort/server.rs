@@ -47,23 +47,7 @@ impl Cohort {
             });
             return;
         }
-        // Duplicate suppression: the network may duplicate messages and
-        // the client re-sends a call after a rejection proves it was not
-        // executed in the new view. If a record for this exact call id
-        // survived (possibly from an earlier view), re-reply from the
-        // record instead of re-executing — this is the "connection
-        // information that enables [the delivery system] to not deliver
-        // duplicate messages" that Section 3.1 assumes, implemented at the
-        // protocol layer.
-        if let Some(record) = self.gstate.find_call(call_id) {
-            let outcome = reply_from_record(self.group, record);
-            out.push(Effect::Send { to: from, msg: Message::CallReply { call_id, outcome } });
-            return;
-        }
-        // A late duplicate of an aborted call-subaction (Section 3.6)
-        // must never execute: its replacement generation may already have
-        // run.
-        if self.gstate.is_dropped_call(call_id) {
+        if !self.admit_call(from, call_id, out) {
             return;
         }
         // "If the viewid in the call message is not equal to the
@@ -87,6 +71,38 @@ impl Cohort {
         // tentative writes.
         self.drop_orphan_generations(call_id, out);
         self.execute_or_park(now, WaitingCall { from, viewid, call_id, proc, args }, true, out);
+    }
+
+    /// Duplicate suppression, applied to a call as it arrives and again
+    /// to a parked call about to run (a call re-sent while its first copy
+    /// waited on a lock is parked twice, and the copy that runs second
+    /// must not execute again). Returns whether `call_id` may execute.
+    fn admit_call(&self, from: Mid, call_id: CallId, out: &mut Vec<Effect>) -> bool {
+        // The network may duplicate messages and the client re-sends a
+        // call after a rejection proves it was not executed in the new
+        // view. If a record for this exact call id survived (possibly
+        // from an earlier view), re-reply from the record instead of
+        // re-executing — this is the "connection information that
+        // enables [the delivery system] to not deliver duplicate
+        // messages" that Section 3.1 assumes, implemented at the
+        // protocol layer.
+        if let Some(record) = self.gstate.find_call(call_id) {
+            let outcome = reply_from_record(self.group, record);
+            out.push(Effect::Send { to: from, msg: Message::CallReply { call_id, outcome } });
+            return false;
+        }
+        // A late duplicate of an aborted call-subaction (Section 3.6)
+        // must never execute: its replacement generation may already
+        // have run. Nor may a late duplicate of a call whose transaction
+        // is decided here: its records were installed or discarded, and
+        // running it again would leave a record and locks that no
+        // message releases (nor, once the status is retired, could a
+        // duplicate commit tell them from the first run's). A decided
+        // transaction of another group is finished; one of this group's
+        // own keeps its status.
+        !(self.gstate.is_dropped_call(call_id)
+            || self.gstate.status(call_id.aid).is_some()
+            || self.gstate.is_finished(call_id.aid))
     }
 
     /// Drop stored records (and parked executions) of other generations
@@ -227,6 +243,9 @@ impl Cohort {
         }
         let parked = std::mem::take(&mut self.waiting_calls);
         for call in parked {
+            if !self.admit_call(call.from, call.call_id, out) {
+                continue;
+            }
             if call.viewid != self.cur_viewid {
                 out.push(Effect::Send {
                     to: call.from,
@@ -248,6 +267,9 @@ impl Cohort {
             return;
         };
         let call = self.waiting_calls.remove(pos);
+        // A re-sent copy parked behind it is refused with it: the client
+        // hears one answer, and no copy runs after the refusal.
+        self.waiting_calls.retain(|c| c.call_id != call_id);
         out.push(Effect::Send {
             to: call.from,
             msg: Message::CallReply {
@@ -304,6 +326,18 @@ impl Cohort {
                 msg: Message::PrepareRefuse { aid, group: self.group },
             });
             self.abort_participant(now, aid, out);
+            return;
+        }
+        // A duplicate prepare for a transaction finished here finds no
+        // records: the read-only vote it earned the first time is
+        // repeated, and nothing is written — a second `committed` record
+        // would commit the transaction twice. (Lost records were refused
+        // above.)
+        if self.gstate.is_finished(aid) && self.gstate.pending_calls(aid).is_empty() {
+            out.push(Effect::Send {
+                to: coordinator,
+                msg: Message::PrepareOk { aid, group: self.group, read_only: true },
+            });
             return;
         }
         let read_only = self
@@ -404,6 +438,15 @@ impl Cohort {
             debug_assert!(false, "commit received for locally aborted transaction {aid}");
             return;
         }
+        // A participant votes yes only after forcing its records, so a
+        // commit that finds none here is a duplicate for a transaction
+        // finished here: acknowledge, write nothing.
+        if self.gstate.pending_calls(aid).is_empty() {
+            if let Some(to) = ack_to {
+                out.push(Effect::Send { to, msg: Message::CommitDone { aid, group: self.group } });
+            }
+            return;
+        }
         // "Release locks and install versions held by the transaction.
         // Add a <"committed", aid> record to the buffer, do a
         // force-to(new-vs), and send a done message to the coordinator."
@@ -457,6 +500,28 @@ impl Cohort {
         // still be active, it would check with the client" (Section 3.5).
         if outcome == QueryOutcome::Active && self.delegated.contains_key(&aid) {
             self.ping_delegated_client(aid, out);
+        }
+        // A participant asking about a transaction this primary has
+        // finished with also learns the horizon, so it can forget every
+        // transaction below it. Only the primary knows what is still in
+        // flight.
+        if self.is_active_primary() && aid.group == self.group {
+            let done_below = self.done_below();
+            if aid < done_below {
+                out.push(Effect::Send { to: reply_to, msg: Message::Horizon { done_below } });
+            }
+        }
+    }
+
+    /// A coordinator's horizon arrived: log it if it lets this
+    /// participant forget anything (the `horizon` record then retires
+    /// identically at the backups, on replay and in snapshots).
+    pub(crate) fn on_horizon(&mut self, done_below: Aid, out: &mut Vec<Effect>) {
+        if self.is_active_primary()
+            && done_below.group != self.group
+            && self.gstate.horizon_advances(done_below)
+        {
+            self.primary_add(EventKind::Horizon { done_below }, out);
         }
     }
 
@@ -516,10 +581,12 @@ impl Cohort {
             QueryOutcome::Committed => {
                 // Learn the commit through the query path; acknowledge to
                 // the coordinator group's cached primary so it can finish
-                // phase two.
-                let ack_to =
-                    self.dir.cached(aid.coordinator_group()).map(|(_, view)| view.primary());
-                if self.gstate.status(aid).is_none() {
+                // phase two. Only records held here make the answer news:
+                // without them the transaction is finished here or never
+                // ran here.
+                if !self.gstate.pending_calls(aid).is_empty() {
+                    let ack_to =
+                        self.dir.cached(aid.coordinator_group()).map(|(_, view)| view.primary());
                     self.on_commit(now, aid, ack_to, out);
                 }
             }

@@ -65,6 +65,14 @@ pub enum EventKind {
         /// The dropped calls.
         dropped: Vec<crate::types::CallId>,
     },
+    /// A participant learned a coordinator's horizon: every transaction
+    /// of `done_below.group` ordered below `done_below` has finished at
+    /// its coordinator, so the participant forgets what it kept about
+    /// them (DESIGN §14). Written only when the horizon moves up.
+    Horizon {
+        /// The coordinator group's horizon.
+        done_below: Aid,
+    },
     /// The first record of every view ("newview", Section 4): carries the
     /// new view and history, plus a content-addressed reference to a base
     /// snapshot and the delta of event records applied since it, so that
@@ -102,7 +110,7 @@ impl EventKind {
             | EventKind::Aborted { aid }
             | EventKind::Done { aid }
             | EventKind::CallsDropped { aid, .. } => Some(*aid),
-            EventKind::NewView { .. } => None,
+            EventKind::Horizon { .. } | EventKind::NewView { .. } => None,
         }
     }
 
@@ -115,6 +123,7 @@ impl EventKind {
             EventKind::Aborted { .. } => "aborted",
             EventKind::Done { .. } => "done",
             EventKind::CallsDropped { .. } => "calls-dropped",
+            EventKind::Horizon { .. } => "horizon",
             EventKind::NewView { .. } => "newview",
         }
     }

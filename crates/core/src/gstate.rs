@@ -9,8 +9,15 @@
 //! the call's transaction is received; at that point records for a
 //! committed transaction are applied, while those for an aborted
 //! transaction are discarded.
+//!
+//! Statuses are kept only for the group's own transactions. Once a
+//! participant decides a transaction another group coordinates, it keeps
+//! no status for it, only the fact that it is *finished* here, packed
+//! into runs of consecutive aids and a per-coordinator horizon (DESIGN
+//! §14). So its per-transaction state is bounded by the transactions in
+//! flight, not by how many have ever committed.
 
-use crate::types::{Aid, CallId, GroupId, ObjectId, Viewstamp};
+use crate::types::{Aid, CallId, GroupId, Mid, ObjectId, ViewId, Viewstamp};
 use serde::{Deserialize, Serialize};
 use std::collections::BTreeMap;
 use std::fmt;
@@ -115,6 +122,12 @@ pub struct CompletedCall {
 
 /// The status of a transaction as known to a cohort, driven by the event
 /// records of Section 3 ("committing", "committed", "aborted", "done").
+///
+/// Only the coordinator's group keeps a status past the record that set
+/// it: `Committing` until its `done` record retires it, `Aborted` for
+/// good (DESIGN §12). A participant's `Committed`/`Aborted` for another
+/// group's transaction is retired by the same record that sets it, and
+/// the aid joins the finished set ([`GroupState::is_finished`]).
 #[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
 pub enum TxnStatus {
     /// Coordinator side: the commit decision is made (the "committing"
@@ -151,7 +164,8 @@ pub struct StoredObject {
 }
 
 /// The replicated group state: objects, stored (pending) completed-call
-/// records, and transaction statuses.
+/// records, the statuses of the group's own transactions, and the
+/// finished set of other groups' transactions.
 ///
 /// This structure is *identical* at primary and backups after applying the
 /// same prefix of event records; that determinism is what lets a backup
@@ -178,6 +192,25 @@ pub struct GroupState {
     /// Calls whose subaction was aborted (Section 3.6): their records
     /// were dropped and late duplicates of them must never execute.
     pub(crate) dropped_calls: BTreeMap<Aid, Vec<CallId>>,
+    /// Per coordinator group, the highest horizon learned from it: every
+    /// aid of that group ordered below it is finished at its coordinator.
+    pub(crate) horizons: BTreeMap<GroupId, Aid>,
+    /// Runs of consecutive aids (one group and view each) of other
+    /// groups' transactions decided here and above their group's
+    /// horizon: first aid → one past the run's last seq.
+    pub(crate) finished: BTreeMap<Aid, u64>,
+}
+
+/// Whether `a` and `b` were created by the same coordinator primary, so
+/// their seqs are consecutive numbers of one sequence.
+fn same_sequence(a: Aid, b: Aid) -> bool {
+    a.group == b.group && a.view == b.view
+}
+
+/// Every aid `group` can create, in aid order.
+fn aids_of(group: GroupId) -> std::ops::RangeInclusive<Aid> {
+    let view = |n| ViewId { counter: n, manager: Mid(n) };
+    Aid { group, view: view(0), seq: 0 }..=Aid { group, view: view(u64::MAX), seq: u64::MAX }
 }
 
 impl GroupState {
@@ -196,6 +229,8 @@ impl GroupState {
             pending: BTreeMap::new(),
             statuses: BTreeMap::new(),
             dropped_calls: BTreeMap::new(),
+            horizons: BTreeMap::new(),
+            finished: BTreeMap::new(),
         }
     }
 
@@ -317,7 +352,113 @@ impl GroupState {
 
     /// Whether there is any trace of `aid` at this cohort.
     pub fn knows(&self, aid: Aid) -> bool {
-        self.pending.contains_key(&aid) || self.statuses.contains_key(&aid)
+        self.pending.contains_key(&aid) || self.statuses.contains_key(&aid) || self.is_finished(aid)
+    }
+
+    /// Whether `aid`, a transaction another group coordinates, is
+    /// finished here: this group applied its outcome record, or it lies
+    /// below its coordinator's horizon. No late message for a finished
+    /// transaction may execute a call or write a record (DESIGN §14).
+    pub fn is_finished(&self, aid: Aid) -> bool {
+        self.horizons.get(&aid.group).is_some_and(|h| aid < *h)
+            || self
+                .finished
+                .range(..=aid)
+                .next_back()
+                .is_some_and(|(&start, &end)| same_sequence(start, aid) && aid.seq < end)
+    }
+
+    /// The horizon learned from `group`, if any.
+    pub fn horizon(&self, group: GroupId) -> Option<Aid> {
+        self.horizons.get(&group).copied()
+    }
+
+    /// How many runs the finished set holds (each run is one group's
+    /// consecutive aids above its horizon). Bounded by the gaps that
+    /// transactions still in flight, or not yet covered by a horizon,
+    /// leave between finished ones.
+    pub fn finished_runs(&self) -> usize {
+        self.finished.len()
+    }
+
+    /// Retire the outcome of another group's transaction: drop its status
+    /// and add its aid to the finished set, merging neighbouring runs and
+    /// moving the horizon up over a run that starts at it.
+    fn finish(&mut self, aid: Aid) {
+        self.statuses.remove(&aid);
+        if self.is_finished(aid) {
+            return;
+        }
+        let mut start = aid;
+        if let Some((&before, &end)) = self.finished.range(..aid).next_back() {
+            if same_sequence(before, aid) && end == aid.seq {
+                start = before;
+            }
+        }
+        let end = self.finished.remove(&Aid { seq: aid.seq + 1, ..aid }).unwrap_or(aid.seq + 1);
+        self.finished.insert(start, end);
+        self.absorb(aid.group);
+    }
+
+    /// If a run starts exactly at `group`'s horizon, move the horizon to
+    /// the run's end and drop the run.
+    fn absorb(&mut self, group: GroupId) {
+        let Some(h) = self.horizons.get(&group).copied() else { return };
+        if let Some(end) = self.finished.remove(&h) {
+            self.horizons.insert(group, Aid { seq: end, ..h });
+        }
+    }
+
+    /// Whether [`Self::finish_below`] would move `done_below.group`'s
+    /// horizon up.
+    pub fn horizon_advances(&self, done_below: Aid) -> bool {
+        self.horizons.get(&done_below.group).is_none_or(|h| done_below > *h)
+    }
+
+    /// Apply a coordinator horizon: every aid of `done_below.group`
+    /// ordered below it has finished at its coordinator, so this group
+    /// forgets its runs, statuses and dropped-call ids below it. Pending
+    /// records stay: a transaction still holding records here below the
+    /// horizon aborted, and only its outcome record may discard them.
+    pub fn finish_below(&mut self, done_below: Aid) {
+        let group = done_below.group;
+        if !self.horizon_advances(done_below) {
+            return;
+        }
+        self.horizons.insert(group, done_below);
+        let low = *aids_of(group).start();
+        let runs: Vec<(Aid, u64)> =
+            self.finished.range(low..done_below).map(|(&a, &end)| (a, end)).collect();
+        for (start, end) in runs {
+            self.finished.remove(&start);
+            if same_sequence(start, done_below) && end > done_below.seq {
+                self.finished.insert(done_below, end);
+            }
+        }
+        self.absorb(group);
+        let keep = |aid: &Aid| !(low..done_below).contains(aid);
+        self.statuses.retain(|aid, _| keep(aid));
+        self.dropped_calls.retain(|aid, _| keep(aid));
+    }
+
+    /// The first aid of `group` the finished set cannot yet account for
+    /// although a later one is finished: the horizon when runs lie above
+    /// it, else the end of the first of two or more runs. Asking the
+    /// coordinator about it returns a horizon that closes the gap.
+    pub fn first_gap(&self, group: GroupId) -> Option<Aid> {
+        let mut runs = self.finished.range(aids_of(group));
+        let (&start, &end) = runs.next()?;
+        match self.horizons.get(&group) {
+            Some(&h) => Some(h),
+            None => runs.next().map(|_| Aid { seq: end, ..start }),
+        }
+    }
+
+    /// The groups the finished set holds runs for.
+    pub fn finished_groups(&self) -> Vec<GroupId> {
+        let mut groups: Vec<GroupId> = self.finished.keys().map(|a| a.group).collect();
+        groups.dedup();
+        groups
     }
 
     /// All recorded statuses (used when a new primary resumes phase two for
@@ -331,26 +472,35 @@ impl GroupState {
         self.statuses.len()
     }
 
-    /// Garbage-collect a finished transaction's status entry.
+    /// Garbage-collect the status of one of the group's own finished
+    /// transactions.
     ///
-    /// Called when the *done* record is applied: phase two is complete,
-    /// every participant has acknowledged the outcome, so no query for
-    /// this transaction can arrive that the protocol still needs to
-    /// answer — the status map would otherwise grow without bound
-    /// (DESIGN §14). Returns whether an entry was actually removed.
+    /// Called when the coordinator's *done* record is applied: phase two
+    /// is complete and every participant has acknowledged the outcome.
+    /// Participants retire their own statuses as they decide (see
+    /// [`Self::apply_record`]); together the two keep the status map
+    /// bounded (DESIGN §14). Returns whether an entry was actually
+    /// removed.
     pub fn retire(&mut self, aid: Aid) -> bool {
         self.statuses.remove(&aid).is_some()
     }
 
-    /// Apply one event record's state transition, with no observability
-    /// side effects.
+    /// Apply one event record's state transition at a cohort of `group`,
+    /// with no observability side effects, and return the accesses a
+    /// `committed` record installed (empty for every other record).
     ///
-    /// This is the pure replay core shared by delta application (a
-    /// newview record's `base + delta`) and crash recovery: replaying a
-    /// delta must reproduce exactly the state the primary had, without
-    /// re-emitting the observations the original application emitted.
-    /// Newview records carry no gstate transition and are skipped.
-    pub fn apply_record(&mut self, kind: &crate::event::EventKind) {
+    /// This is the one rule every path applies: the live primary and
+    /// backups (through the cohort, which adds observations), a newview
+    /// record's `base + delta`, and crash recovery. An outcome record for
+    /// a transaction another group coordinates retires its status at once
+    /// into the finished set; a `horizon` record moves that group's
+    /// horizon. Newview records carry no gstate transition and are
+    /// skipped.
+    pub fn apply_record(
+        &mut self,
+        group: GroupId,
+        kind: &crate::event::EventKind,
+    ) -> Vec<ObjectAccess> {
         use crate::event::EventKind;
         match kind {
             EventKind::CompletedCall { aid, record } => self.store_call(*aid, record.clone()),
@@ -358,15 +508,26 @@ impl GroupState {
                 self.set_status(*aid, TxnStatus::Committing { plist: plist.clone() });
             }
             EventKind::Committed { aid } => {
-                self.install_commit(*aid);
+                let accesses = self.install_commit(*aid);
+                if aid.group != group {
+                    self.finish(*aid);
+                }
+                return accesses;
             }
-            EventKind::Aborted { aid } => self.discard_abort(*aid),
+            EventKind::Aborted { aid } => {
+                self.discard_abort(*aid);
+                if aid.group != group {
+                    self.finish(*aid);
+                }
+            }
             EventKind::Done { aid } => {
                 self.retire(*aid);
             }
             EventKind::CallsDropped { aid, dropped } => self.drop_calls(*aid, dropped),
+            EventKind::Horizon { done_below } => self.finish_below(*done_below),
             EventKind::NewView { .. } => {}
         }
+        Vec::new()
     }
 }
 

@@ -173,6 +173,15 @@ pub enum Message {
         /// What the answering cohort knows.
         outcome: QueryOutcome,
     },
+    /// Coordinator primary → participant: the coordinator's horizon, sent
+    /// with the answer to a query about a transaction below it. Every
+    /// transaction of `done_below.group` ordered below `done_below` has
+    /// finished at the coordinator (DESIGN §14).
+    Horizon {
+        /// The lowest aid the coordinator primary may still be running or
+        /// finishing.
+        done_below: Aid,
+    },
 
     // --------------------------------- coordinator-server (Section 3.5)
     /// Unreplicated client → coordinator-server primary: start a
@@ -408,6 +417,7 @@ impl Message {
             Message::ClientPong { .. } => "client-pong",
             Message::Query { .. } => "query",
             Message::QueryReply { .. } => "query-reply",
+            Message::Horizon { .. } => "horizon",
             Message::Probe { .. } => "probe",
             Message::ProbeReply { .. } => "probe-reply",
             Message::BufferSend { .. } => "buffer-send",
@@ -436,12 +446,14 @@ impl Message {
     }
 
     /// Whether this message is background replication traffic (buffer
-    /// streaming, heartbeats, or snapshot state transfer) rather than
+    /// streaming, heartbeats, snapshot state transfer, or a horizon that
+    /// lets a participant forget finished transactions) rather than
     /// foreground request traffic.
     pub fn is_background(&self) -> bool {
         matches!(
             self,
             Message::BufferSend { .. }
+                | Message::Horizon { .. }
                 | Message::BufferAck { .. }
                 | Message::ImAlive { .. }
                 | Message::GetChunk { .. }
@@ -476,6 +488,7 @@ impl Message {
             Message::CommitDone { .. } => HDR + AID + ID,
             Message::Redirect { .. } => HDR + ID + VIEWID,
             Message::Query { .. } | Message::QueryReply { .. } => HDR + AID + ID,
+            Message::Horizon { .. } => HDR + AID,
             Message::ClientBegin { .. } | Message::ClientBeginAck { .. } => HDR + AID + ID,
             Message::ClientCommit { pset, .. } => HDR + AID + ID + pset.wire_size(),
             Message::ClientAbort { .. }
@@ -525,6 +538,7 @@ mod tests {
             },
             Message::Abort { aid: aid() },
             Message::Query { aid: aid(), reply_to: Mid(0) },
+            Message::Horizon { done_below: aid() },
             Message::ImAlive { from: Mid(0), viewid: ViewId::initial(Mid(0)) },
             Message::Invite { viewid: ViewId::initial(Mid(0)), manager: Mid(0) },
             Message::LeaseGrant { viewid: ViewId::initial(Mid(0)), from: Mid(1) },
@@ -554,6 +568,9 @@ mod tests {
         let revoke = Message::LeaseRevoke { viewid: ViewId::initial(Mid(0)), from: Mid(0) };
         assert!(revoke.is_background());
         assert!(!revoke.is_view_change());
+        let horizon = Message::Horizon { done_below: aid() };
+        assert!(horizon.is_background());
+        assert!(!horizon.is_view_change());
     }
 
     #[test]

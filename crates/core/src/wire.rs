@@ -290,6 +290,15 @@ fn enc_gstate(e: &mut Encoder, g: &GroupState) {
             enc_call_id(e, *c);
         }
     }
+    e.u64(g.horizons.len() as u64);
+    for horizon in g.horizons.values() {
+        enc_aid(e, *horizon);
+    }
+    e.u64(g.finished.len() as u64);
+    for (start, end) in &g.finished {
+        enc_aid(e, *start);
+        e.u64(*end);
+    }
 }
 
 fn dec_gstate(d: &mut Decoder<'_>) -> Result<GroupState, DecodeError> {
@@ -325,7 +334,21 @@ fn dec_gstate(d: &mut Decoder<'_>) -> Result<GroupState, DecodeError> {
         }
         dropped_calls.insert(aid, dropped);
     }
-    Ok(GroupState { objects, pending, statuses, dropped_calls })
+    let mut horizons = BTreeMap::new();
+    for _ in 0..d.len("gstate.horizons.len")? {
+        let horizon = dec_aid(d)?;
+        horizons.insert(horizon.group, horizon);
+    }
+    let mut finished = BTreeMap::new();
+    for _ in 0..d.len("gstate.finished.len")? {
+        let start = dec_aid(d)?;
+        let end = d.u64("gstate.finished.end")?;
+        if end <= start.seq {
+            return Err(DecodeError { context: "gstate.finished.end" });
+        }
+        finished.insert(start, end);
+    }
+    Ok(GroupState { objects, pending, statuses, dropped_calls, horizons, finished })
 }
 
 // ---------------------------------------------------------------------
@@ -417,6 +440,10 @@ fn enc_event_kind(e: &mut Encoder, k: &EventKind) {
                 enc_call_id(e, *c);
             }
         }
+        EventKind::Horizon { done_below } => {
+            e.u64(7);
+            enc_aid(e, *done_below);
+        }
         EventKind::NewView { view, history, base, delta } => {
             e.u64(6);
             enc_view(e, view);
@@ -451,6 +478,7 @@ fn dec_event_kind_tagged(d: &mut Decoder<'_>, tag: u64) -> Result<EventKind, Dec
         2 => EventKind::Committed { aid: dec_aid(d)? },
         3 => EventKind::Aborted { aid: dec_aid(d)? },
         4 => EventKind::Done { aid: dec_aid(d)? },
+        7 => EventKind::Horizon { done_below: dec_aid(d)? },
         5 => {
             let aid = dec_aid(d)?;
             let n = d.len("event.dropped.len")?;
@@ -883,6 +911,10 @@ pub fn encode_message(msg: &Message) -> Vec<u8> {
             enc_viewid(&mut e, *viewid);
             e.u64(from.0);
         }
+        Message::Horizon { done_below } => {
+            e.u64(32);
+            enc_aid(&mut e, *done_below);
+        }
     }
     e.buf
 }
@@ -1024,6 +1056,7 @@ pub fn decode_message(buf: &[u8]) -> Result<Message, DecodeError> {
             viewid: dec_viewid(&mut d)?,
             from: Mid(d.u64("lease_revoke.from")?),
         },
+        32 => Message::Horizon { done_below: dec_aid(&mut d)? },
         _ => return Err(DecodeError { context: "message.tag" }),
     };
     if !d.is_exhausted() {
@@ -1082,6 +1115,12 @@ mod tests {
         g.set_status(aid(1), TxnStatus::Committing { plist: vec![GroupId(7), GroupId(8)] });
         g.set_status(aid(2), TxnStatus::Aborted);
         g.drop_calls(aid(0), &[CallId { aid: aid(0), seq: 99 }]);
+        let foreign = |seq| Aid { group: GroupId(4), view: vid(1), seq };
+        g.apply_record(GroupId(3), &EventKind::Horizon { done_below: foreign(2) });
+        for seq in [5, 6, 9] {
+            g.apply_record(GroupId(3), &EventKind::Committed { aid: foreign(seq) });
+        }
+        assert_eq!(g.finished_runs(), 2);
         g
     }
 
@@ -1117,6 +1156,7 @@ mod tests {
             EventKind::Aborted { aid: aid(3) },
             EventKind::Done { aid: aid(4) },
             EventKind::CallsDropped { aid: aid(5), dropped: vec![CallId { aid: aid(5), seq: 1 }] },
+            EventKind::Horizon { done_below: aid(6) },
             sample_newview(),
         ] {
             let event = DurableEvent::Record(EventRecord { vs: vs(2, 5), kind });
@@ -1265,6 +1305,7 @@ mod tests {
             Message::Redirect { group: GroupId(2), newer: Some((vid(3), view.clone())) },
             Message::Query { aid: aid(1), reply_to: Mid(4) },
             Message::QueryReply { aid: aid(1), outcome: QueryOutcome::Unknown },
+            Message::Horizon { done_below: aid(4) },
             Message::ClientBegin { req: 42, reply_to: Mid(9) },
             Message::ClientBeginAck { req: 42, aid: aid(2) },
             Message::ClientCommit { aid: aid(2), pset: ps, reply_to: Mid(9) },

@@ -1352,6 +1352,36 @@ mod tests {
     }
 
     #[test]
+    fn boundary_snapshots_stay_flat_over_serial_commits() {
+        // A participant keeps no per-commit state once it decides
+        // (DESIGN §14), so the boundary snapshot after 2,000 increments
+        // is no bigger than the first. Counting bytes, not time, keeps
+        // this from flaking on a slow runner.
+        let c = ClusterBuilder::new()
+            .observe()
+            .group(CLIENT, &[Mid(10)], || Box::new(NullModule))
+            .group(SERVER, &[Mid(1), Mid(2), Mid(3)], || Box::new(counter::CounterModule))
+            .start();
+        let mut sizes = Vec::new();
+        for i in 0..2_000 {
+            let outcome = c.submit(CLIENT, vec![counter::incr(SERVER, 0, 1)]);
+            assert!(matches!(outcome, Ok(TxnOutcome::Committed { .. })), "{i}: {outcome:?}");
+            // Drain as we go: the observation queue is bounded.
+            for (mid, o) in c.observations() {
+                if let (Mid(1), Observation::SnapshotTaken { bytes, .. }) = (mid, o) {
+                    sizes.push(bytes);
+                }
+            }
+        }
+        c.shutdown();
+        let (Some(&first), Some(&last)) = (sizes.first(), sizes.last()) else {
+            panic!("no boundary snapshot observed")
+        };
+        assert!(sizes.len() >= 20, "boundaries observed: {sizes:?}");
+        assert!(last <= 2 * first, "snapshots grew from {first} to {last} bytes: {sizes:?}");
+    }
+
+    #[test]
     fn stable_viewid_survives_crash_recover() {
         let c = cluster();
         assert!(c.submit(CLIENT, vec![counter::incr(SERVER, 0, 1)]).is_ok());

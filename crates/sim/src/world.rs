@@ -969,24 +969,31 @@ impl World {
     }
 
     /// Check that every transaction reported `Committed` to a client is
-    /// durably committed at every group its script touched (via a
-    /// `TxnCommitted` observation or a committed-family status at a live
-    /// cohort).
+    /// durably committed at every group its script touched: a
+    /// `TxnCommitted` observation there, or a live cohort of the group
+    /// that holds a committed-family status for it (the coordinator
+    /// group's own transactions) or finished it without ever observing
+    /// an abort of it, or a live coordinator-group cohort recording the
+    /// commit decision.
     ///
     /// # Errors
     ///
     /// Returns a description of the first lost commit found.
     pub fn check_no_lost_commits(&self) -> Result<(), String> {
         let mut observed: BTreeSet<(GroupId, Aid)> = BTreeSet::new();
+        let mut aborted: BTreeSet<(GroupId, Aid)> = BTreeSet::new();
         let mut leased: BTreeSet<Aid> = BTreeSet::new();
         for (_, obs) in &self.observations {
             #[expect(
                 clippy::wildcard_enum_match_arm,
-                reason = "only commits and leased reads bear on lost commits"
+                reason = "only outcomes and leased reads bear on lost commits"
             )]
             match obs {
                 Observation::TxnCommitted { group, aid, .. } => {
                     observed.insert((*group, *aid));
+                }
+                Observation::TxnAborted { group, aid, .. } => {
+                    aborted.insert((*group, *aid));
                 }
                 Observation::LeasedRead { aid, .. } => {
                     leased.insert(*aid);
@@ -994,6 +1001,14 @@ impl World {
                 _ => {}
             }
         }
+        let committed_at = |group: GroupId, aid: Aid| {
+            self.peers[&group].members().iter().any(|m| {
+                let gstate = self.cohorts[m].gstate();
+                !self.crashed.contains_key(m)
+                    && (gstate.status(aid).is_some_and(|s| s.is_committed())
+                        || (gstate.is_finished(aid) && !aborted.contains(&(group, aid))))
+            })
+        };
         for (req_id, record) in &self.results {
             let TxnOutcome::Committed { .. } = record.outcome else { continue };
             let Some(aid) = record.aid else { continue };
@@ -1007,23 +1022,14 @@ impl World {
             let script = self.scripts.get(req_id).map(|v| v.as_slice()).unwrap_or(&[]);
             let groups: BTreeSet<GroupId> = script.iter().map(|op| op.group).collect();
             for group in groups {
-                if observed.contains(&(group, aid)) {
-                    continue;
-                }
-                // Fallback: a live cohort whose status map records the
-                // commit decision.
-                let durable = self.peers[&group].members().iter().any(|m| {
-                    !self.crashed.contains_key(m)
-                        && self.cohorts[m].gstate().status(aid).is_some_and(|s| s.is_committed())
-                }) || self.peers[&aid.coordinator_group()].members().iter().any(
-                    |m| {
-                        !self.crashed.contains_key(m)
-                            && self.cohorts[m]
-                                .gstate()
-                                .status(aid)
-                                .is_some_and(|s| s.is_committed())
-                    },
-                );
+                // Fallback: a live cohort whose state records the outcome
+                // (a participant keeps no status once it decides; every
+                // outcome record it applies is observed, so having
+                // finished the transaction without an abort observed at
+                // the group means it committed there).
+                let durable = observed.contains(&(group, aid))
+                    || committed_at(group, aid)
+                    || committed_at(aid.coordinator_group(), aid);
                 if !durable {
                     return Err(format!(
                         "transaction {aid} (req {req_id}) reported committed but has no \
@@ -1035,8 +1041,37 @@ impl World {
         Ok(())
     }
 
-    /// Run every safety check: convergence, lost commits, and one-copy
-    /// serializability.
+    /// Check that participant state stays bounded (DESIGN §14): no live
+    /// cohort holds a status for a transaction another group
+    /// coordinates. A participant's outcome record retires that status
+    /// into the finished set as it is applied, so what a participant
+    /// keeps per transaction is its pending records (transactions in
+    /// flight) and finished runs, never one entry per commit.
+    ///
+    /// # Errors
+    ///
+    /// Returns the first foreign status found.
+    pub fn check_bounded_state(&self) -> Result<(), String> {
+        for (mid, cohort) in &self.cohorts {
+            if self.crashed.contains_key(mid) {
+                continue;
+            }
+            let group = cohort.group();
+            if let Some((aid, status)) = cohort.gstate().statuses().find(|(a, _)| a.group != group)
+            {
+                return Err(format!(
+                    "cohort {mid} of group {group} holds status {status:?} for {aid}, which \
+                     group {} coordinates ({} statuses in all)",
+                    aid.group,
+                    cohort.gstate().status_count()
+                ));
+            }
+        }
+        Ok(())
+    }
+
+    /// Run every safety check: convergence, lost commits, bounded
+    /// participant state, and one-copy serializability.
     ///
     /// # Errors
     ///
@@ -1044,6 +1079,7 @@ impl World {
     pub fn verify(&self) -> Result<(), String> {
         self.check_convergence()?;
         self.check_no_lost_commits()?;
+        self.check_bounded_state()?;
         crate::serializability::check(&self.observations).map_err(|v| v.to_string())
     }
 

@@ -240,6 +240,53 @@ fn call_reject_with_newer_view_resends_to_new_primary() {
     assert_eq!(resent.2, call_id, "same call id (rejection proves non-execution)");
 }
 
+#[test]
+fn redirect_with_an_older_view_makes_the_agent_probe() {
+    // A redirect naming a view the agent has already superseded says only
+    // that its cached primary is wrong: like a cohort, the agent probes
+    // the group at once instead of waiting for its retry timer.
+    let mut a = agent();
+    a.begin_transaction(0, 7, vec![counter::incr(SERVER, 0, 1)]);
+    let effects =
+        a.on_message(5, COORD_PRIMARY, Message::ClientBeginAck { req: 7, aid: test_aid() });
+    let call_id = sends(&effects)
+        .iter()
+        .find_map(|(_, m)| match m {
+            Message::Call { call_id, .. } => Some(*call_id),
+            _ => None,
+        })
+        .expect("call sent");
+    let newer_vid = ViewId { counter: 3, manager: Mid(2) };
+    let newer_view = vsr_core::view::View::new(Mid(2), vec![Mid(3)]);
+    a.on_message(
+        10,
+        SERVER_PRIMARY,
+        Message::CallReject { call_id, newer: Some((newer_vid, newer_view)) },
+    );
+    let older = vsr_core::view::View::new(SERVER_PRIMARY, vec![Mid(2), Mid(3)]);
+    let effects = a.on_message(
+        12,
+        Mid(3),
+        Message::Redirect { group: SERVER, newer: Some((ViewId::initial(SERVER_PRIMARY), older)) },
+    );
+    let probed: Vec<Mid> = sends(&effects)
+        .iter()
+        .filter_map(|(to, m)| match m {
+            Message::Probe { group: SERVER, reply_to: AGENT_MID } => Some(*to),
+            _ => None,
+        })
+        .collect();
+    assert_eq!(probed, vec![Mid(1), Mid(2), Mid(3)], "probed every member: {effects:?}");
+    assert_eq!(
+        a.on_message(13, Mid(3), Message::Redirect { group: SERVER, newer: None })
+            .iter()
+            .filter(|e| matches!(e, Effect::Send { msg: Message::Probe { .. }, .. }))
+            .count(),
+        3,
+        "a redirect naming no view probes too"
+    );
+}
+
 /// The call sent and the retry timer armed by one step of the agent.
 fn call_and_timer(effects: &[Effect]) -> (Option<CallId>, Option<Timer>) {
     let call = sends(effects).iter().find_map(|(to, m)| match m {

@@ -10,7 +10,7 @@ use vsr_core::durable::RecoveredState;
 use vsr_core::messages::{CallOutcome, Message, QueryOutcome};
 use vsr_core::module::NullModule;
 use vsr_core::pset::PSet;
-use vsr_core::types::{Aid, CallId, GroupId, Mid, Timestamp, ViewId, Viewstamp};
+use vsr_core::types::{Aid, CallId, GroupId, Mid, ObjectId, Timestamp, ViewId, Viewstamp};
 use vsr_core::view::{Configuration, View};
 
 const SERVER: GroupId = GroupId(2);
@@ -49,6 +49,16 @@ fn call_msg(cohort: &Cohort, a: Aid, seq: u64) -> Message {
         proc: op.proc,
         args: op.args,
     }
+}
+
+/// A participant keeps no status for another group's decided
+/// transaction: the outcome record retires it into the finished set,
+/// and nothing of it is left pending or locked.
+fn assert_finished(cohort: &Cohort, a: Aid) {
+    assert!(cohort.gstate().status(a).is_none(), "status retired");
+    assert!(cohort.gstate().is_finished(a), "finished here");
+    assert!(cohort.gstate().pending_calls(a).is_empty(), "no records left");
+    assert!(!cohort.locks().holds_any(a), "no locks left");
 }
 
 fn sends(effects: &[Effect]) -> Vec<&Message> {
@@ -261,8 +271,13 @@ fn read_only_prepare_commits_immediately_without_phase_two() {
         "read-only vote: {msgs:?}"
     );
     // "If the transaction is read-only, add a <"committed", aid> record"
-    // — committed locally with no commit message needed.
-    assert!(primary.gstate().status(a).is_some_and(|s| s.is_committed()));
+    // — committed locally with no commit message needed. The record
+    // retires the participant's status at once: the aid is finished here.
+    assert!(
+        effects.iter().any(|e| matches!(e, Effect::Observe(Observation::TxnCommitted { .. }))),
+        "committed record applied: {effects:?}"
+    );
+    assert_finished(&primary, a);
 }
 
 #[test]
@@ -371,12 +386,17 @@ fn query_reply_commits_prepared_transaction() {
     primary.on_message(20, CLIENT_MID, Message::Prepare { aid: a, pset, coordinator: CLIENT_MID });
     assert!(primary.gstate().status(a).is_none(), "prepared but undecided");
     // The commit message was lost; a query reply resolves it.
-    primary.on_message(
+    let effects = primary.on_message(
         400,
         Mid(100),
         Message::QueryReply { aid: a, outcome: QueryOutcome::Committed },
     );
-    assert!(primary.gstate().status(a).is_some_and(|s| s.is_committed()));
+    assert!(
+        effects.iter().any(|e| matches!(e, Effect::Observe(Observation::TxnCommitted { .. }))),
+        "committed through the query path: {effects:?}"
+    );
+    assert_eq!(primary.gstate().object(ObjectId(0)).map(|o| o.version), Some(1), "installed");
+    assert_finished(&primary, a);
 }
 
 // ----------------------------------------------------------------------
@@ -623,6 +643,54 @@ fn conflicting_call_parks_and_runs_after_commit() {
 }
 
 #[test]
+fn resent_call_parked_twice_runs_once() {
+    // B's call parks behind A's write lock, and B's client re-sends it
+    // (its call retry timer fired first): the same call id is parked
+    // twice. When A commits, the call must run once; the second copy is
+    // answered from the first one's record. Running both would leave
+    // two records, the second built on the first's tentative version,
+    // and B's commit would install the increment twice.
+    let mut primary = server_cohort(Mid(1));
+    let (a, b) = (aid(0), aid(1));
+    let vs = run_call_and_ack(&mut primary, a);
+    primary.on_message(20, CLIENT_MID, call_msg(&primary, b, 0));
+    primary.on_message(25, CLIENT_MID, call_msg(&primary, b, 0));
+    let mut pset = PSet::new();
+    pset.insert(SERVER, vs);
+    primary.on_message(30, CLIENT_MID, Message::Prepare { aid: a, pset, coordinator: CLIENT_MID });
+    let effects =
+        primary.on_message(40, CLIENT_MID, Message::Commit { aid: a, coordinator: CLIENT_MID });
+    let replies: Vec<u64> = sends(&effects)
+        .iter()
+        .filter_map(|m| match m {
+            Message::CallReply { call_id, outcome: CallOutcome::Ok { result, .. } }
+                if call_id.aid == b =>
+            {
+                Some(counter::decode_value(result).unwrap())
+            }
+            _ => None,
+        })
+        .collect();
+    assert_eq!(replies, vec![2, 2], "both copies answered with the one execution's result");
+    assert_eq!(primary.gstate().pending_calls(b).len(), 1, "executed once");
+    let vs = primary.gstate().pending_calls(b)[0].vs;
+    for m in [Mid(2), Mid(3)] {
+        primary.on_message(
+            45,
+            m,
+            Message::BufferAck { viewid: primary.cur_viewid(), from: m, upto: vs.ts },
+        );
+    }
+    let mut pset = PSet::new();
+    pset.insert(SERVER, vs);
+    primary.on_message(50, CLIENT_MID, Message::Prepare { aid: b, pset, coordinator: CLIENT_MID });
+    primary.on_message(60, CLIENT_MID, Message::Commit { aid: b, coordinator: CLIENT_MID });
+    let counter = primary.gstate().object(ObjectId(0)).unwrap();
+    assert_eq!(counter::decode_value(counter.value.as_bytes()), Ok(2), "two increments");
+    assert_eq!(counter.version, 2, "two installs");
+}
+
+#[test]
 fn conflicting_call_parks_and_runs_after_abort() {
     let mut primary = server_cohort(Mid(1));
     let a = aid(0);
@@ -659,22 +727,28 @@ fn lock_wait_timeout_refuses_the_parked_call() {
             _ => None,
         })
         .expect("lock-wait timer armed");
+    // The client re-sends the call while it waits: a second copy parks.
+    primary.on_message(30, CLIENT_MID, call_msg(&primary, b, 0));
     let effects = primary.on_timer(500, timer);
-    let refused = sends(&effects).iter().any(|m| {
-        matches!(
-            m,
-            Message::CallReply { outcome: CallOutcome::Refused(CallRefusal::LockTimeout), .. }
-        )
-    });
-    assert!(refused, "parked call refused after the lock-wait timeout");
+    let refused = sends(&effects)
+        .iter()
+        .filter(|m| {
+            matches!(
+                m,
+                Message::CallReply { outcome: CallOutcome::Refused(CallRefusal::LockTimeout), .. }
+            )
+        })
+        .count();
+    assert_eq!(refused, 1, "parked call refused once after the lock-wait timeout");
     // A later release must NOT run the (now-refused) call.
     let effects = primary.on_message(600, CLIENT_MID, Message::Abort { aid: a });
     assert!(
         !sends(&effects)
             .iter()
             .any(|m| matches!(m, Message::CallReply { call_id, .. } if call_id.aid == b)),
-        "refused call is gone from the park list"
+        "refused call is gone from the park list, re-sent copy and all"
     );
+    assert!(primary.gstate().pending_calls(b).is_empty(), "never executed");
 }
 
 // ----------------------------------------------------------------------
@@ -813,7 +887,7 @@ fn prepared_in_old_view_commits_in_new_view() {
         effects.iter().any(|e| matches!(e, Effect::Observe(Observation::TxnCommitted { .. }))),
         "committed in the new view: {effects:?}"
     );
-    assert!(primary.gstate().status(a).is_some_and(|s| s.is_committed()));
+    assert_finished(&primary, a);
     let new_ts = primary.history().ts_for(primary.cur_viewid()).unwrap();
     let effects = primary.on_message(
         45,
@@ -913,4 +987,245 @@ fn old_view_call_message_rejected_after_view_change() {
     assert!(sends(&effects)
         .iter()
         .any(|m| matches!(m, Message::CallReply { outcome: CallOutcome::Ok { .. }, .. })));
+}
+
+// ----------------------------------------------------------------------
+// DESIGN §14: late messages for a transaction finished here
+// ----------------------------------------------------------------------
+
+/// Call, prepare and commit one increment of object 0 for `a`; returns
+/// the pset the prepare carried.
+fn commit_increment(primary: &mut Cohort, a: Aid) -> PSet {
+    let vs = run_call_and_ack(primary, a);
+    let mut pset = PSet::new();
+    pset.insert(SERVER, vs);
+    primary.on_message(
+        20,
+        CLIENT_MID,
+        Message::Prepare { aid: a, pset: pset.clone(), coordinator: CLIENT_MID },
+    );
+    primary.on_message(30, CLIENT_MID, Message::Commit { aid: a, coordinator: CLIENT_MID });
+    assert_finished(primary, a);
+    pset
+}
+
+fn records_written(effects: &[Effect]) -> usize {
+    effects
+        .iter()
+        .filter(|e| matches!(e, Effect::Persist(vsr_core::durable::DurableEvent::Record(_))))
+        .count()
+}
+
+fn version(cohort: &Cohort) -> Option<u64> {
+    cohort.gstate().object(ObjectId(0)).map(|o| o.version)
+}
+
+#[test]
+fn late_duplicate_call_of_committed_transaction_does_not_execute() {
+    let mut primary = server_cohort(Mid(1));
+    let a = aid(0);
+    commit_increment(&mut primary, a);
+    assert_eq!(version(&primary), Some(1));
+    // The network delivers the call again: same viewid, same call id.
+    let effects = primary.on_message(40, CLIENT_MID, call_msg(&primary, a, 0));
+    assert!(primary.gstate().pending_calls(a).is_empty(), "not executed: {effects:?}");
+    assert!(!primary.locks().holds_any(a), "no lock left behind");
+    assert_eq!(records_written(&effects), 0);
+    // A duplicate commit then finds nothing to install a second time.
+    let effects =
+        primary.on_message(50, CLIENT_MID, Message::Commit { aid: a, coordinator: CLIENT_MID });
+    assert!(sends(&effects).iter().any(|m| matches!(m, Message::CommitDone { .. })));
+    assert_eq!(records_written(&effects), 0);
+    assert_eq!(version(&primary), Some(1), "no double install");
+}
+
+#[test]
+fn duplicate_commit_for_finished_transaction_writes_no_record() {
+    let mut primary = server_cohort(Mid(1));
+    let a = aid(0);
+    commit_increment(&mut primary, a);
+    let effects =
+        primary.on_message(40, CLIENT_MID, Message::Commit { aid: a, coordinator: CLIENT_MID });
+    assert!(sends(&effects).iter().any(|m| matches!(m, Message::CommitDone { .. })));
+    assert_eq!(records_written(&effects), 0, "acknowledged without a record: {effects:?}");
+    assert_finished(&primary, a);
+}
+
+#[test]
+fn duplicate_prepare_for_finished_transaction_writes_no_record() {
+    let mut primary = server_cohort(Mid(1));
+    let a = aid(0);
+    let pset = commit_increment(&mut primary, a);
+    let effects = primary.on_message(
+        40,
+        CLIENT_MID,
+        Message::Prepare { aid: a, pset, coordinator: CLIENT_MID },
+    );
+    assert!(
+        sends(&effects).iter().any(|m| matches!(m, Message::PrepareOk { read_only: true, .. })),
+        "holds nothing for it: a read-only vote: {effects:?}"
+    );
+    assert_eq!(records_written(&effects), 0, "no second committed record");
+    assert_eq!(version(&primary), Some(1));
+    // Compatibility still comes first: a pset naming an event this
+    // cohort never had is refused, finished or not.
+    let mut lost = PSet::new();
+    lost.insert(SERVER, Viewstamp::new(ViewId { counter: 7, manager: Mid(9) }, Timestamp(3)));
+    let effects = primary.on_message(
+        50,
+        CLIENT_MID,
+        Message::Prepare { aid: a, pset: lost, coordinator: CLIENT_MID },
+    );
+    assert!(sends(&effects).iter().any(|m| matches!(m, Message::PrepareRefuse { .. })));
+    assert_eq!(records_written(&effects), 0);
+}
+
+#[test]
+fn abort_query_and_query_reply_for_finished_transaction_write_no_record() {
+    let mut primary = server_cohort(Mid(1));
+    let a = aid(0);
+    commit_increment(&mut primary, a);
+    let late = [
+        Message::Abort { aid: a },
+        Message::QueryReply { aid: a, outcome: QueryOutcome::Committed },
+        Message::QueryReply { aid: a, outcome: QueryOutcome::Aborted },
+        Message::Query { aid: a, reply_to: Mid(7) },
+    ];
+    for (i, msg) in late.into_iter().enumerate() {
+        let effects = primary.on_message(40 + i as u64, Mid(7), msg.clone());
+        assert_eq!(records_written(&effects), 0, "{msg:?} wrote a record: {effects:?}");
+        assert!(sends(&effects).is_empty(), "{msg:?} needs no answer: {effects:?}");
+    }
+    assert_eq!(version(&primary), Some(1));
+    assert_finished(&primary, a);
+}
+
+#[test]
+fn participant_abort_retires_the_status_and_blocks_the_late_call() {
+    let mut primary = server_cohort(Mid(1));
+    let a = aid(0);
+    run_call_and_ack(&mut primary, a);
+    let effects = primary.on_message(20, CLIENT_MID, Message::Abort { aid: a });
+    assert!(effects.iter().any(|e| matches!(e, Effect::Observe(Observation::TxnAborted { .. }))));
+    assert_finished(&primary, a);
+    let effects = primary.on_message(30, CLIENT_MID, call_msg(&primary, a, 0));
+    assert!(primary.gstate().pending_calls(a).is_empty(), "not executed: {effects:?}");
+    assert_eq!(version(&primary), None, "the aborted increment never installed");
+}
+
+#[test]
+fn call_below_a_coordinator_horizon_does_not_execute() {
+    let mut primary = server_cohort(Mid(1));
+    let effects = primary.on_message(10, CLIENT_MID, Message::Horizon { done_below: aid(5) });
+    assert_eq!(records_written(&effects), 1, "the horizon is logged");
+    assert_eq!(primary.gstate().horizon(GroupId(9)), Some(aid(5)));
+    // aid(3) never reached this cohort, but its coordinator is done
+    // with it: a late call for it must not run.
+    let effects = primary.on_message(20, CLIENT_MID, call_msg(&primary, aid(3), 0));
+    assert!(primary.gstate().pending_calls(aid(3)).is_empty(), "not executed: {effects:?}");
+    // The horizon's own aid may still be running and executes.
+    primary.on_message(30, CLIENT_MID, call_msg(&primary, aid(5), 0));
+    assert_eq!(primary.gstate().pending_calls(aid(5)).len(), 1);
+    // A horizon that does not move up writes nothing.
+    let effects = primary.on_message(40, CLIENT_MID, Message::Horizon { done_below: aid(4) });
+    assert_eq!(records_written(&effects), 0);
+}
+
+#[test]
+fn serial_commits_keep_one_finished_run_and_the_horizon_absorbs_it() {
+    let mut primary = server_cohort(Mid(1));
+    for seq in 0..5 {
+        commit_increment(&mut primary, aid(seq));
+    }
+    assert_eq!(primary.gstate().status_count(), 0);
+    assert_eq!(primary.gstate().finished_runs(), 1, "consecutive aids share one run");
+    // A horizon at or past the run replaces it; later commits move the
+    // horizon itself and leave no run at all.
+    primary.on_message(40, CLIENT_MID, Message::Horizon { done_below: aid(5) });
+    assert_eq!(primary.gstate().finished_runs(), 0);
+    commit_increment(&mut primary, aid(5));
+    assert_eq!(primary.gstate().finished_runs(), 0);
+    assert_eq!(primary.gstate().horizon(GroupId(9)), Some(aid(6)));
+}
+
+#[test]
+fn a_lasting_gap_between_finished_runs_is_asked_about_and_closed() {
+    use vsr_core::cohort::Timer;
+    // A server cohort that can address the coordinator group.
+    let client = Configuration::new(GroupId(9), vec![CLIENT_MID]);
+    let config = Configuration::new(SERVER, vec![Mid(1), Mid(2), Mid(3)]);
+    let mut cfg = CohortConfig::new();
+    cfg.buffer_flush_interval = 0;
+    let mut primary = Cohort::new(CohortParams {
+        cfg: cfg.clone(),
+        mid: Mid(1),
+        configuration: config.clone(),
+        initial_primary: Mid(1),
+        peers: [(SERVER, config), (GroupId(9), client)].into_iter().collect(),
+        module: Box::new(counter::CounterModule),
+    });
+    primary.start(0);
+    // aid(1) never came here: two runs with a gap between them.
+    commit_increment(&mut primary, aid(0));
+    commit_increment(&mut primary, aid(2));
+    assert_eq!(primary.gstate().finished_runs(), 2);
+    assert_eq!(primary.gstate().first_gap(GroupId(9)), Some(aid(1)));
+    // Heartbeats (with the backups alive) notice the gap, and ask once
+    // it has lasted longer than a stale transaction would.
+    let mut asked_at = None;
+    let mut now = 30;
+    while asked_at.is_none() && now < 30 + 4 * cfg.stale_txn_timeout {
+        now += cfg.heartbeat_interval;
+        for b in [Mid(2), Mid(3)] {
+            primary.on_message(now, b, Message::ImAlive { from: b, viewid: primary.cur_viewid() });
+        }
+        let effects = primary.on_timer(now, Timer::Heartbeat);
+        if sends(&effects)
+            .iter()
+            .any(|m| matches!(m, Message::Query { aid: q, .. } if *q == aid(1)))
+        {
+            asked_at = Some(now);
+        }
+    }
+    let asked_at = asked_at.expect("the gap was asked about");
+    assert!(asked_at > 30 + cfg.stale_txn_timeout, "not before the gap is stale");
+    // The coordinator's primary answers with its horizon.
+    let effects = primary.on_message(now, CLIENT_MID, Message::Horizon { done_below: aid(3) });
+    assert_eq!(records_written(&effects), 1);
+    assert_eq!(primary.gstate().finished_runs(), 0, "the runs collapsed into the horizon");
+    assert!(primary.gstate().is_finished(aid(1)));
+    assert_eq!(primary.gstate().first_gap(GroupId(9)), None);
+}
+
+#[test]
+fn coordinator_primary_answers_a_query_below_its_horizon_with_the_horizon() {
+    let client_group = GroupId(9);
+    let config = Configuration::new(client_group, vec![Mid(100), Mid(101), Mid(102)]);
+    let server = Configuration::new(SERVER, vec![Mid(1), Mid(2), Mid(3)]);
+    let mut coord = Cohort::new(CohortParams {
+        cfg: CohortConfig::new(),
+        mid: Mid(100),
+        configuration: config.clone(),
+        initial_primary: Mid(100),
+        peers: [(client_group, config), (SERVER, server)].into_iter().collect(),
+        module: Box::new(NullModule),
+    });
+    coord.start(0);
+    // A transaction with no calls commits at once; the next one runs.
+    coord.begin_transaction(10, 1, Vec::new());
+    coord.begin_transaction(11, 2, vec![counter::incr(SERVER, 0, 1)]);
+    let done = Aid { group: client_group, view: coord.cur_viewid(), seq: 0 };
+    let running = Aid { seq: 1, ..done };
+    let effects = coord.on_message(20, Mid(1), Message::Query { aid: done, reply_to: Mid(1) });
+    assert!(
+        sends(&effects)
+            .iter()
+            .any(|m| matches!(m, Message::Horizon { done_below } if *done_below == running)),
+        "the horizon stops at the running transaction: {effects:?}"
+    );
+    let effects = coord.on_message(21, Mid(1), Message::Query { aid: running, reply_to: Mid(1) });
+    assert!(
+        !sends(&effects).iter().any(|m| matches!(m, Message::Horizon { .. })),
+        "nothing below the horizon was asked about: {effects:?}"
+    );
 }

@@ -66,11 +66,16 @@ fn sim_script(policy: FsyncPolicy) -> Vec<(u64, u64)> {
 struct Tally {
     committed: u64,
     ambiguous: u64,
+    /// How long each increment's submission took.
+    took: Vec<Duration>,
 }
 
 impl Tally {
     fn submit_increment(&mut self, cluster: &Cluster) -> bool {
-        match cluster.submit(CLIENT, vec![counter::incr(SERVER, 0, 1)]) {
+        let t0 = Instant::now();
+        let result = cluster.submit(CLIENT, vec![counter::incr(SERVER, 0, 1)]);
+        self.took.push(t0.elapsed());
+        match result {
             Ok(TxnOutcome::Committed { .. }) => {
                 self.committed += 1;
                 true
@@ -107,9 +112,16 @@ impl Tally {
         };
         assert!(
             value >= self.committed && value <= self.committed + self.ambiguous,
-            "read {value} after {} committed and {} ambiguous increments",
+            "read {value} after {} committed and {} ambiguous increments; longest submissions \
+             {:?}",
             self.committed,
-            self.ambiguous
+            self.ambiguous,
+            {
+                let mut took = self.took.clone();
+                took.sort_unstable_by(|a, b| b.cmp(a));
+                took.truncate(3);
+                took
+            }
         );
     }
 }

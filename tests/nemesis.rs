@@ -166,6 +166,23 @@ fn fifty_lease_plans_produce_no_stale_reads() {
     }
 }
 
+/// Regression: seed 9230's plan from the lease sweep above, pinned. A
+/// participant keeps no status once it decides another group's
+/// transaction (DESIGN §14); under this plan a duplicate prepare reaches
+/// a server primary after the commit. Were a compatible prepare that
+/// finds no status and no records to take the read-only path, it would
+/// add a second `committed` record with no accesses, and the
+/// serializability oracle would report that the cohorts disagree on the
+/// transaction's effects. A prepare for a finished transaction writes no
+/// record.
+#[test]
+fn lease_plan_9230_duplicate_prepare_writes_no_second_commit() {
+    let cfg = NemesisConfig { lease_ticks: 400, seed: 9_230, ..NemesisConfig::default() };
+    let (start, end) = cfg.window;
+    let plan = FaultPlan::random_lease_nemesis(9_230, &cfg.server_mids(), start, end, 12);
+    run_plan(&cfg, &plan).expect("seed 9230's lease plan passes both oracles");
+}
+
 /// The 50 lease-sweep plans genuinely combine skewed clocks,
 /// leaseholder crashes, and one-way partitions — the stale-read sweep
 /// is vacuous if the generator never draws its target scenarios.

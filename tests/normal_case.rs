@@ -274,3 +274,26 @@ fn normal_case_runs_are_deterministic() {
     };
     assert_eq!(run(99), run(99));
 }
+
+#[test]
+fn serial_increments_leave_no_participant_statuses() {
+    // Each commit's record retires the participant's status as it is
+    // applied (DESIGN §14): after 200 serial increments every server
+    // cohort holds no status at all, and consecutive finished aids fold
+    // into one run, so the snapshotted state stops growing with commits.
+    let mut world = counter_world(25);
+    for i in 1..=200u64 {
+        let req = world.submit(CLIENT, vec![counter::incr(SERVER, 0, 1)]);
+        world.run_for(200);
+        let results = committed_results(&world, req);
+        assert_eq!(counter::decode_value(&results[0]).unwrap(), i);
+    }
+    world.run_for(2_000);
+    for &mid in world.members_of(SERVER) {
+        let gstate = world.cohort(mid).gstate();
+        assert_eq!(gstate.status_count(), 0, "{mid} holds statuses");
+        assert_eq!(gstate.finished_runs(), 1, "{mid}: one run of consecutive aids");
+        assert!(gstate.pending_txns().next().is_none(), "{mid}: nothing pending");
+    }
+    world.verify().unwrap();
+}
