@@ -205,6 +205,7 @@ impl ClientAgent {
             // must decide whether agents care.
             Message::Call { .. }
             | Message::Prepare { .. }
+            | Message::PrepareCommit { .. }
             | Message::PrepareOk { .. }
             | Message::PrepareRefuse { .. }
             | Message::Commit { .. }

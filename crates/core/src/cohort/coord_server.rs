@@ -64,16 +64,34 @@ impl Cohort {
             return;
         }
         if self.coord.contains_key(&aid) {
-            return; // two-phase commit already in progress; outcome follows
+            return; // commit already in progress; outcome follows
         }
         if !self.delegated.contains_key(&aid) {
-            // Unknown transaction: either it was created in an earlier
-            // view (the automatic-abort rule of Section 3.1 applies) or
-            // it was never begun here.
-            out.push(Effect::Send {
-                to: reply_to,
-                msg: Message::ClientOutcome { aid, committed: false },
-            });
+            let participants = pset.participant_groups();
+            let committed = if aid.group == self.group
+                && aid.view == self.cur_viewid
+                && aid.seq < self.next_txn_seq
+            {
+                // Begun and finished here in this view. Aborts are
+                // recorded and their statuses kept (answered above); a
+                // commit's status is retired by its `done` record, and a
+                // one-phase commit writes none — so this one committed.
+                true
+            } else if aid.view < self.cur_viewid
+                && participants.len() == 1
+                && participants[0] != self.group
+            {
+                // Begun in an earlier view and committed in one phase, if
+                // at all: only its participant knows, so the
+                // automatic-abort rule may not answer for it. No answer;
+                // the client reports the outcome unresolved.
+                return;
+            } else {
+                // Begun in an earlier view (the automatic-abort rule of
+                // Section 3.1 applies) or never begun here.
+                false
+            };
+            out.push(Effect::Send { to: reply_to, msg: Message::ClientOutcome { aid, committed } });
             return;
         }
         self.ping_pending.remove(&aid);
@@ -97,11 +115,7 @@ impl Cohort {
             delegate: Some(reply_to),
         };
         self.coord.insert(aid, txn);
-        self.send_prepares(aid, out);
-        out.push(Effect::SetTimer {
-            after: self.retry_delay(self.cfg.prepare_retry_interval, 1, super::retry_kind::PREPARE),
-            timer: Timer::PrepareRetry { aid, attempt: 1 },
-        });
+        self.start_commit(aid, out);
     }
 
     /// Handle a `ClientAbort`: abort a delegated transaction.
@@ -109,8 +123,13 @@ impl Cohort {
         if !self.is_active_primary() {
             return;
         }
-        if self.coord.contains_key(&aid) {
-            self.abort_txn(aid, super::AbortReason::CoordinatorAborted, out);
+        if let Some(txn) = self.coord.get(&aid) {
+            // Only while nobody has decided: a commit decision in flight,
+            // or a one-phase commit its participant decides, is not the
+            // client's to take back.
+            if txn.phase == CoordPhase::Preparing {
+                self.abort_txn(aid, super::AbortReason::CoordinatorAborted, out);
+            }
             return;
         }
         if self.delegated.remove(&aid).is_some() {

@@ -43,6 +43,15 @@ pub enum EventKind {
         /// The committed transaction.
         aid: Aid,
     },
+    /// The only participant of a transaction committed it alone, in one
+    /// phase (DESIGN §14): installed like [`EventKind::Committed`], but
+    /// the group keeps the outcome until the coordinator's horizon passes
+    /// the aid, so a re-sent `PrepareCommit` gets the same answer.
+    /// Forcing this record to a sub-majority *is* the commit point.
+    OnePhaseCommitted {
+        /// The committed transaction.
+        aid: Aid,
+    },
     /// The transaction aborted ("aborted"/"abort", Figures 2 and 3); not
     /// strictly required for safety but useful for query processing
     /// (Section 3.1).
@@ -107,6 +116,7 @@ impl EventKind {
             EventKind::CompletedCall { aid, .. }
             | EventKind::Committing { aid, .. }
             | EventKind::Committed { aid }
+            | EventKind::OnePhaseCommitted { aid }
             | EventKind::Aborted { aid }
             | EventKind::Done { aid }
             | EventKind::CallsDropped { aid, .. } => Some(*aid),
@@ -120,6 +130,7 @@ impl EventKind {
             EventKind::CompletedCall { .. } => "completed-call",
             EventKind::Committing { .. } => "committing",
             EventKind::Committed { .. } => "committed",
+            EventKind::OnePhaseCommitted { .. } => "one-phase-committed",
             EventKind::Aborted { .. } => "aborted",
             EventKind::Done { .. } => "done",
             EventKind::CallsDropped { .. } => "calls-dropped",
@@ -183,6 +194,7 @@ mod tests {
         let kinds = [
             EventKind::Committing { aid: aid(), plist: vec![] },
             EventKind::Committed { aid: aid() },
+            EventKind::OnePhaseCommitted { aid: aid() },
             EventKind::Aborted { aid: aid() },
             EventKind::Done { aid: aid() },
         ];

@@ -15,7 +15,10 @@
 //! no status for it, only the fact that it is *finished* here, packed
 //! into runs of consecutive aids and a per-coordinator horizon (DESIGN
 //! §14). So its per-transaction state is bounded by the transactions in
-//! flight, not by how many have ever committed.
+//! flight, not by how many have ever committed. A transaction it
+//! committed alone, in one phase, stays marked as committed until its
+//! coordinator's horizon passes it: those runs are the one outcome a
+//! participant must still be able to repeat.
 
 use crate::types::{Aid, CallId, GroupId, Mid, ObjectId, ViewId, Viewstamp};
 use serde::{Deserialize, Serialize};
@@ -199,12 +202,52 @@ pub struct GroupState {
     /// groups' transactions decided here and above their group's
     /// horizon: first aid → one past the run's last seq.
     pub(crate) finished: BTreeMap<Aid, u64>,
+    /// Runs, in the same form, of other groups' transactions this group
+    /// committed alone in one phase and that lie at or above their
+    /// group's horizon. Disjoint from `finished`: a horizon never absorbs
+    /// them, only a coordinator's horizon record retires them, because
+    /// until then the coordinator may re-send `PrepareCommit` and must
+    /// hear "committed" again.
+    pub(crate) one_phase: BTreeMap<Aid, u64>,
 }
 
 /// Whether `a` and `b` were created by the same coordinator primary, so
 /// their seqs are consecutive numbers of one sequence.
 fn same_sequence(a: Aid, b: Aid) -> bool {
     a.group == b.group && a.view == b.view
+}
+
+/// Whether `aid` lies in one of `runs`.
+fn in_runs(runs: &BTreeMap<Aid, u64>, aid: Aid) -> bool {
+    runs.range(..=aid)
+        .next_back()
+        .is_some_and(|(&start, &end)| same_sequence(start, aid) && aid.seq < end)
+}
+
+/// Add `aid`, which no run holds, to `runs`, merging it with the runs
+/// that end just below it and start just above it.
+fn add_to_runs(runs: &mut BTreeMap<Aid, u64>, aid: Aid) {
+    let mut start = aid;
+    if let Some((&before, &end)) = runs.range(..aid).next_back() {
+        if same_sequence(before, aid) && end == aid.seq {
+            start = before;
+        }
+    }
+    let end = runs.remove(&Aid { seq: aid.seq + 1, ..aid }).unwrap_or(aid.seq + 1);
+    runs.insert(start, end);
+}
+
+/// Drop the part of `runs` of `done_below.group` ordered below
+/// `done_below`.
+fn trim_runs(runs: &mut BTreeMap<Aid, u64>, done_below: Aid) {
+    let low = *aids_of(done_below.group).start();
+    let below: Vec<(Aid, u64)> = runs.range(low..done_below).map(|(&a, &end)| (a, end)).collect();
+    for (start, end) in below {
+        runs.remove(&start);
+        if same_sequence(start, done_below) && end > done_below.seq {
+            runs.insert(done_below, end);
+        }
+    }
 }
 
 /// Every aid `group` can create, in aid order.
@@ -231,6 +274,7 @@ impl GroupState {
             dropped_calls: BTreeMap::new(),
             horizons: BTreeMap::new(),
             finished: BTreeMap::new(),
+            one_phase: BTreeMap::new(),
         }
     }
 
@@ -361,11 +405,20 @@ impl GroupState {
     /// transaction may execute a call or write a record (DESIGN §14).
     pub fn is_finished(&self, aid: Aid) -> bool {
         self.horizons.get(&aid.group).is_some_and(|h| aid < *h)
-            || self
-                .finished
-                .range(..=aid)
-                .next_back()
-                .is_some_and(|(&start, &end)| same_sequence(start, aid) && aid.seq < end)
+            || in_runs(&self.finished, aid)
+            || in_runs(&self.one_phase, aid)
+    }
+
+    /// Whether this group committed `aid` alone, in one phase, and its
+    /// coordinator's horizon has not yet passed it: the one finished
+    /// transaction whose outcome a participant can still repeat.
+    pub fn one_phase_committed(&self, aid: Aid) -> bool {
+        in_runs(&self.one_phase, aid)
+    }
+
+    /// The one-phase runs: first aid and one past the last seq of each.
+    pub fn one_phase_runs(&self) -> impl Iterator<Item = (Aid, u64)> + '_ {
+        self.one_phase.iter().map(|(&start, &end)| (start, end))
     }
 
     /// The horizon learned from `group`, if any.
@@ -389,15 +442,17 @@ impl GroupState {
         if self.is_finished(aid) {
             return;
         }
-        let mut start = aid;
-        if let Some((&before, &end)) = self.finished.range(..aid).next_back() {
-            if same_sequence(before, aid) && end == aid.seq {
-                start = before;
-            }
-        }
-        let end = self.finished.remove(&Aid { seq: aid.seq + 1, ..aid }).unwrap_or(aid.seq + 1);
-        self.finished.insert(start, end);
+        add_to_runs(&mut self.finished, aid);
         self.absorb(aid.group);
+    }
+
+    /// Retire a one-phase commit of another group's transaction into the
+    /// one-phase runs, which only a coordinator's horizon shrinks.
+    fn finish_one_phase(&mut self, aid: Aid) {
+        self.statuses.remove(&aid);
+        if !self.is_finished(aid) {
+            add_to_runs(&mut self.one_phase, aid);
+        }
     }
 
     /// If a run starts exactly at `group`'s horizon, move the horizon to
@@ -426,16 +481,10 @@ impl GroupState {
             return;
         }
         self.horizons.insert(group, done_below);
-        let low = *aids_of(group).start();
-        let runs: Vec<(Aid, u64)> =
-            self.finished.range(low..done_below).map(|(&a, &end)| (a, end)).collect();
-        for (start, end) in runs {
-            self.finished.remove(&start);
-            if same_sequence(start, done_below) && end > done_below.seq {
-                self.finished.insert(done_below, end);
-            }
-        }
+        trim_runs(&mut self.finished, done_below);
+        trim_runs(&mut self.one_phase, done_below);
         self.absorb(group);
+        let low = *aids_of(group).start();
         let keep = |aid: &Aid| !(low..done_below).contains(aid);
         self.statuses.retain(|aid, _| keep(aid));
         self.dropped_calls.retain(|aid, _| keep(aid));
@@ -445,18 +494,37 @@ impl GroupState {
     /// although a later one is finished: the horizon when runs lie above
     /// it, else the end of the first of two or more runs. Asking the
     /// coordinator about it returns a horizon that closes the gap.
+    ///
+    /// One-phase runs wait on the coordinator's horizon by design, so one
+    /// of them alone is no gap: serial one-phase commits extend a single
+    /// run. Two or more runs of either kind are; without a horizon the
+    /// first one-phase aid is then asked about, since the coordinator is
+    /// most likely finished with it.
     pub fn first_gap(&self, group: GroupId) -> Option<Aid> {
-        let mut runs = self.finished.range(aids_of(group));
-        let (&start, &end) = runs.next()?;
+        let mut finished = self.finished.range(aids_of(group));
+        let mut kept = self.one_phase.range(aids_of(group));
+        let first = finished.next();
+        let first_kept = kept.next();
+        let runs = usize::from(first.is_some())
+            + usize::from(first_kept.is_some())
+            + usize::from(finished.next().is_some())
+            + usize::from(kept.next().is_some());
         match self.horizons.get(&group) {
-            Some(&h) => Some(h),
-            None => runs.next().map(|_| Aid { seq: end, ..start }),
+            Some(&h) => (first.is_some() || runs >= 2).then_some(h),
+            None if runs >= 2 => match (first_kept, first) {
+                (Some((&start, _)), _) => Some(start),
+                (None, Some((&start, &end))) => Some(Aid { seq: end, ..start }),
+                (None, None) => None,
+            },
+            None => None,
         }
     }
 
-    /// The groups the finished set holds runs for.
+    /// The groups the finished set holds runs (or one-phase runs) for.
     pub fn finished_groups(&self) -> Vec<GroupId> {
-        let mut groups: Vec<GroupId> = self.finished.keys().map(|a| a.group).collect();
+        let mut groups: Vec<GroupId> =
+            self.finished.keys().chain(self.one_phase.keys()).map(|a| a.group).collect();
+        groups.sort();
         groups.dedup();
         groups
     }
@@ -512,6 +580,11 @@ impl GroupState {
                 if aid.group != group {
                     self.finish(*aid);
                 }
+                return accesses;
+            }
+            EventKind::OnePhaseCommitted { aid } => {
+                let accesses = self.install_commit(*aid);
+                self.finish_one_phase(*aid);
                 return accesses;
             }
             EventKind::Aborted { aid } => {
@@ -628,6 +701,25 @@ mod tests {
         let a = aid(0);
         g.set_status(a, TxnStatus::Committed);
         g.set_status(a, TxnStatus::Aborted);
+    }
+
+    #[test]
+    fn one_phase_runs_wait_for_the_coordinator_horizon() {
+        use crate::event::EventKind;
+        let mut g = GroupState::new();
+        let foreign = |seq| Aid { group: GroupId(4), view: ViewId::initial(Mid(4)), seq };
+        for seq in 0..3 {
+            g.apply_record(GroupId(3), &EventKind::OnePhaseCommitted { aid: foreign(seq) });
+        }
+        assert!(g.one_phase_committed(foreign(1)));
+        assert_eq!((g.one_phase_runs().count(), g.finished_runs(), g.status_count()), (1, 0, 0));
+        assert_eq!(g.first_gap(GroupId(4)), None, "one run alone is no gap");
+        g.apply_record(GroupId(3), &EventKind::OnePhaseCommitted { aid: foreign(5) });
+        assert_eq!(g.first_gap(GroupId(4)), Some(foreign(0)), "two runs are");
+        g.apply_record(GroupId(3), &EventKind::Horizon { done_below: foreign(2) });
+        assert!(!g.one_phase_committed(foreign(1)) && g.is_finished(foreign(1)));
+        assert!(g.one_phase_committed(foreign(2)) && g.one_phase_committed(foreign(5)));
+        assert_eq!(g.horizon(GroupId(4)), Some(foreign(2)), "never absorbed past a kept outcome");
     }
 
     #[test]

@@ -108,6 +108,20 @@ pub enum Message {
         /// The coordinator primary to reply to.
         coordinator: Mid,
     },
+    /// Coordinator → the only participant primary: one-phase commit for
+    /// a transaction whose pset names exactly one group other than the
+    /// coordinator's (DESIGN §14). The participant checks `compatible`
+    /// and decides alone: a forced committed record answered with
+    /// [`Message::CommitDone`], or a refusal answered with
+    /// [`Message::PrepareRefuse`]. The coordinator writes no record.
+    PrepareCommit {
+        /// The committing transaction.
+        aid: Aid,
+        /// The transaction's full pset.
+        pset: PSet,
+        /// The coordinator primary to answer.
+        coordinator: Mid,
+    },
     /// Participant → coordinator: vote yes. `read_only` indicates the
     /// participant held only read locks and need not take part in phase
     /// two.
@@ -402,6 +416,7 @@ impl Message {
             Message::CallReply { .. } => "call-reply",
             Message::CallReject { .. } => "call-reject",
             Message::Prepare { .. } => "prepare",
+            Message::PrepareCommit { .. } => "prepare-commit",
             Message::PrepareOk { .. } => "prepare-ok",
             Message::PrepareRefuse { .. } => "prepare-refuse",
             Message::Commit { .. } => "commit",
@@ -482,7 +497,9 @@ impl Message {
                     }
             }
             Message::CallReject { .. } => HDR + AID + ID + VIEWID,
-            Message::Prepare { pset, .. } => HDR + AID + ID + pset.wire_size(),
+            Message::Prepare { pset, .. } | Message::PrepareCommit { pset, .. } => {
+                HDR + AID + ID + pset.wire_size()
+            }
             Message::PrepareOk { .. } | Message::PrepareRefuse { .. } => HDR + AID + ID + 1,
             Message::Commit { .. } | Message::Abort { .. } => HDR + AID + ID,
             Message::CommitDone { .. } => HDR + AID + ID,

@@ -294,11 +294,29 @@ fn enc_gstate(e: &mut Encoder, g: &GroupState) {
     for horizon in g.horizons.values() {
         enc_aid(e, *horizon);
     }
-    e.u64(g.finished.len() as u64);
-    for (start, end) in &g.finished {
+    enc_runs(e, &g.finished);
+    enc_runs(e, &g.one_phase);
+}
+
+fn enc_runs(e: &mut Encoder, runs: &BTreeMap<Aid, u64>) {
+    e.u64(runs.len() as u64);
+    for (start, end) in runs {
         enc_aid(e, *start);
         e.u64(*end);
     }
+}
+
+fn dec_runs(d: &mut Decoder<'_>) -> Result<BTreeMap<Aid, u64>, DecodeError> {
+    let mut runs = BTreeMap::new();
+    for _ in 0..d.len("gstate.runs.len")? {
+        let start = dec_aid(d)?;
+        let end = d.u64("gstate.runs.end")?;
+        if end <= start.seq {
+            return Err(DecodeError { context: "gstate.runs.end" });
+        }
+        runs.insert(start, end);
+    }
+    Ok(runs)
 }
 
 fn dec_gstate(d: &mut Decoder<'_>) -> Result<GroupState, DecodeError> {
@@ -339,16 +357,9 @@ fn dec_gstate(d: &mut Decoder<'_>) -> Result<GroupState, DecodeError> {
         let horizon = dec_aid(d)?;
         horizons.insert(horizon.group, horizon);
     }
-    let mut finished = BTreeMap::new();
-    for _ in 0..d.len("gstate.finished.len")? {
-        let start = dec_aid(d)?;
-        let end = d.u64("gstate.finished.end")?;
-        if end <= start.seq {
-            return Err(DecodeError { context: "gstate.finished.end" });
-        }
-        finished.insert(start, end);
-    }
-    Ok(GroupState { objects, pending, statuses, dropped_calls, horizons, finished })
+    let finished = dec_runs(d)?;
+    let one_phase = dec_runs(d)?;
+    Ok(GroupState { objects, pending, statuses, dropped_calls, horizons, finished, one_phase })
 }
 
 // ---------------------------------------------------------------------
@@ -444,6 +455,10 @@ fn enc_event_kind(e: &mut Encoder, k: &EventKind) {
             e.u64(7);
             enc_aid(e, *done_below);
         }
+        EventKind::OnePhaseCommitted { aid } => {
+            e.u64(8);
+            enc_aid(e, *aid);
+        }
         EventKind::NewView { view, history, base, delta } => {
             e.u64(6);
             enc_view(e, view);
@@ -479,6 +494,7 @@ fn dec_event_kind_tagged(d: &mut Decoder<'_>, tag: u64) -> Result<EventKind, Dec
         3 => EventKind::Aborted { aid: dec_aid(d)? },
         4 => EventKind::Done { aid: dec_aid(d)? },
         7 => EventKind::Horizon { done_below: dec_aid(d)? },
+        8 => EventKind::OnePhaseCommitted { aid: dec_aid(d)? },
         5 => {
             let aid = dec_aid(d)?;
             let n = d.len("event.dropped.len")?;
@@ -915,6 +931,12 @@ pub fn encode_message(msg: &Message) -> Vec<u8> {
             e.u64(32);
             enc_aid(&mut e, *done_below);
         }
+        Message::PrepareCommit { aid, pset, coordinator } => {
+            e.u64(33);
+            enc_aid(&mut e, *aid);
+            enc_pset(&mut e, pset);
+            e.u64(coordinator.0);
+        }
     }
     e.buf
 }
@@ -1057,6 +1079,11 @@ pub fn decode_message(buf: &[u8]) -> Result<Message, DecodeError> {
             from: Mid(d.u64("lease_revoke.from")?),
         },
         32 => Message::Horizon { done_below: dec_aid(&mut d)? },
+        33 => Message::PrepareCommit {
+            aid: dec_aid(&mut d)?,
+            pset: dec_pset(&mut d)?,
+            coordinator: Mid(d.u64("prepare_commit.coordinator")?),
+        },
         _ => return Err(DecodeError { context: "message.tag" }),
     };
     if !d.is_exhausted() {
@@ -1120,7 +1147,9 @@ mod tests {
         for seq in [5, 6, 9] {
             g.apply_record(GroupId(3), &EventKind::Committed { aid: foreign(seq) });
         }
+        g.apply_record(GroupId(3), &EventKind::OnePhaseCommitted { aid: foreign(11) });
         assert_eq!(g.finished_runs(), 2);
+        assert!(g.one_phase_committed(foreign(11)));
         g
     }
 
@@ -1157,6 +1186,7 @@ mod tests {
             EventKind::Done { aid: aid(4) },
             EventKind::CallsDropped { aid: aid(5), dropped: vec![CallId { aid: aid(5), seq: 1 }] },
             EventKind::Horizon { done_below: aid(6) },
+            EventKind::OnePhaseCommitted { aid: aid(7) },
             sample_newview(),
         ] {
             let event = DurableEvent::Record(EventRecord { vs: vs(2, 5), kind });
@@ -1297,6 +1327,7 @@ mod tests {
             Message::CallReject { call_id, newer: None },
             Message::CallReject { call_id, newer: Some((vid(4), view.clone())) },
             Message::Prepare { aid: aid(1), pset: ps.clone(), coordinator: Mid(5) },
+            Message::PrepareCommit { aid: aid(1), pset: ps.clone(), coordinator: Mid(5) },
             Message::PrepareOk { aid: aid(1), group: GroupId(2), read_only: true },
             Message::PrepareRefuse { aid: aid(1), group: GroupId(2) },
             Message::Commit { aid: aid(1), coordinator: Mid(5) },

@@ -223,7 +223,13 @@ mod tests {
     fn every_observation() -> Vec<Observation> {
         let (group, mid, aid) = (GroupId(1), Mid(1), Aid::default());
         vec![
-            Observation::TxnCommitted { group, mid, aid, accesses: Vec::new() },
+            Observation::TxnCommitted {
+                group,
+                mid,
+                aid,
+                accesses: Vec::new(),
+                vs: Viewstamp::default(),
+            },
             Observation::TxnAborted { group, mid, aid },
             Observation::ViewChanged {
                 group,
@@ -326,6 +332,19 @@ mod tests {
                 assert!(value > 0, "no hook moves `{name}`: a permanently-zero counter");
             }
         }
+    }
+
+    #[test]
+    fn one_phase_commit_traffic_is_foreground() {
+        // A one-group transaction's commit is PrepareCommit and its
+        // CommitDone answer: request traffic, like Prepare and PrepareOk.
+        let mut m = Metrics::default();
+        let aid = Aid::default();
+        let pset = vsr_core::pset::PSet::new();
+        m.on_send(Mid(2), &Message::PrepareCommit { aid, pset, coordinator: Mid(1) });
+        m.on_send(Mid(1), &Message::CommitDone { aid, group: GroupId(2) });
+        assert_eq!((m.foreground_msgs, m.background_msgs, m.view_change_msgs), (2, 0, 0));
+        assert_eq!(m.msgs["prepare-commit"], 1);
     }
 
     #[test]

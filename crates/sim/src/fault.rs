@@ -211,6 +211,92 @@ impl FaultPlan {
         plan
     }
 
+    /// Generate a seeded *one-phase commit* plan (DESIGN §14): the
+    /// faults land around the submissions of `txns` transactions spread
+    /// evenly over `[start, end)`, in the windows where a one-group
+    /// transaction's `PrepareCommit` and its answer are in flight. Per
+    /// transaction, at most one of:
+    ///
+    /// * drop every `PrepareCommit`, or every answer (`CommitDone`,
+    ///   `PrepareRefuse`), for a while, so the coordinator re-sends and
+    ///   the participant must repeat its decision;
+    /// * crash the coordinator primary (in `clients`) while its answer
+    ///   is being dropped: between the send and the answer;
+    /// * cut the participant primary off from its backups and crash it a
+    ///   few ticks later: after its committed record's append and before
+    ///   the force, or, earlier, after the call but before the
+    ///   `PrepareCommit`, so the new primary refuses the lost records;
+    ///   half the time the new primary's answers are then dropped for a
+    ///   while, so the coordinator asks again after the decision.
+    ///
+    /// Every crash is recovered within the transaction's slot, and every
+    /// drop window closes in it. Like the generic generator, the plan
+    /// carries no cleanup tail.
+    pub fn random_one_phase_nemesis(
+        seed: u64,
+        servers: &[Mid],
+        clients: &[Mid],
+        (start, end): (u64, u64),
+        txns: usize,
+    ) -> Self {
+        assert!(start < end, "empty fault window");
+        assert!(!servers.is_empty() && !clients.is_empty(), "one-phase plans need both groups");
+        let mut rng = SmallRng::seed_from_u64(seed);
+        let mut plan = FaultPlan::new();
+        let interval = (end - start) / txns.max(1) as u64;
+        let answers = || vec!["commit-done".to_string(), "prepare-refuse".to_string()];
+        for k in 0..txns as u64 {
+            let t = start + k * interval;
+            // The likely primary (the bootstrap one), or any member.
+            let pick = |rng: &mut SmallRng, mids: &[Mid]| {
+                if rng.gen_bool(0.7) {
+                    mids[0]
+                } else {
+                    mids[rng.gen_range(0..mids.len())]
+                }
+            };
+            match rng.gen_range(0..5u8) {
+                0 => {}
+                1 => {
+                    plan.events
+                        .push((t + 1, FaultEvent::DropClasses(vec!["prepare-commit".into()])));
+                    plan.events
+                        .push((t + rng.gen_range(100..400u64), FaultEvent::ClearDropClasses));
+                }
+                2 => {
+                    plan.events.push((t + 1, FaultEvent::DropClasses(answers())));
+                    plan.events
+                        .push((t + rng.gen_range(100..400u64), FaultEvent::ClearDropClasses));
+                }
+                3 => {
+                    let coordinator = pick(&mut rng, clients);
+                    plan.events.push((t + 1, FaultEvent::DropClasses(answers())));
+                    plan.events.push((t + rng.gen_range(6..30u64), FaultEvent::Crash(coordinator)));
+                    plan.events.push((t + 60, FaultEvent::ClearDropClasses));
+                    plan.events
+                        .push((t + rng.gen_range(300..600u64), FaultEvent::Recover(coordinator)));
+                }
+                _ => {
+                    let participant = pick(&mut rng, servers);
+                    let classes = vec!["buffer-send".to_string(), "buffer-ack".to_string()];
+                    plan.events.push((t + 1, FaultEvent::DropClasses(classes)));
+                    plan.events.push((t + rng.gen_range(2..30u64), FaultEvent::Crash(participant)));
+                    plan.events.push((t + 40, FaultEvent::ClearDropClasses));
+                    if rng.gen_bool(0.5) {
+                        // The new primary's answer is lost too, so the
+                        // coordinator asks again after the decision.
+                        plan.events.push((t + 41, FaultEvent::DropClasses(answers())));
+                        plan.events
+                            .push((t + rng.gen_range(300..700u64), FaultEvent::ClearDropClasses));
+                    }
+                    plan.events
+                        .push((t + rng.gen_range(400..800u64), FaultEvent::Recover(participant)));
+                }
+            }
+        }
+        plan
+    }
+
     /// Generate a seeded random *nemesis* plan over `mids` in the
     /// window `[start, end)`, drawing from the full fault vocabulary:
     /// crashes, symmetric and one-way partitions, per-link loss, gray

@@ -22,6 +22,7 @@ use vsr_app::counter::{self, CounterModule};
 use vsr_core::config::CohortConfig;
 use vsr_core::module::NullModule;
 use vsr_core::types::{GroupId, Mid};
+use vsr_simnet::NetConfig;
 use vsr_store::FsyncPolicy;
 
 /// The client group in nemesis worlds.
@@ -65,6 +66,13 @@ pub struct NemesisConfig {
     /// path), and the stale-read oracle in [`World::verify`] checks
     /// every leased read against the committed version chain.
     pub lease_ticks: u64,
+    /// Run the one-phase commit class (DESIGN §14): the client group gets
+    /// three cohorts, so its primary can crash and be replaced; the
+    /// network duplicates a tenth of all messages; and [`sweep`] draws
+    /// plans from [`FaultPlan::random_one_phase_nemesis`], which drops
+    /// `PrepareCommit` and its answers and crashes the coordinator and
+    /// the participant primary inside the commit window.
+    pub one_phase: bool,
 }
 
 impl Default for NemesisConfig {
@@ -78,6 +86,7 @@ impl Default for NemesisConfig {
             heal_before_check: true,
             durability: None,
             lease_ticks: 0,
+            one_phase: false,
         }
     }
 }
@@ -86,6 +95,13 @@ impl NemesisConfig {
     /// The server cohort mids for this configuration.
     pub fn server_mids(&self) -> Vec<Mid> {
         (1..=self.cohorts as u64).map(Mid).collect()
+    }
+
+    /// The client (coordinator) group's mids, the first its bootstrap
+    /// primary.
+    pub fn client_mids(&self) -> Vec<Mid> {
+        let n = if self.one_phase { 3 } else { 1 };
+        (0..n).map(|i| Mid(CLIENT_MID.0 + i)).collect()
     }
 }
 
@@ -121,8 +137,11 @@ fn build_world(cfg: &NemesisConfig) -> World {
     let mids = cfg.server_mids();
     let mut builder = WorldBuilder::new(cfg.seed)
         .cohorts(CohortConfig { lease_ticks: cfg.lease_ticks, ..CohortConfig::new() })
-        .group(CLIENT, &[CLIENT_MID], || Box::new(NullModule))
+        .group(CLIENT, &cfg.client_mids(), || Box::new(NullModule))
         .group(SERVER, &mids, || Box::new(CounterModule));
+    if cfg.one_phase {
+        builder = builder.net(NetConfig { dup_prob: 0.1, ..NetConfig::reliable(cfg.seed) });
+    }
     if let Some(policy) = cfg.durability {
         builder = builder.durable(policy);
     }
@@ -221,7 +240,15 @@ pub fn sweep(
     let (start, end) = cfg.window;
     let mut stats = SweepStats { passed: 0, catastrophic: 0 };
     for seed in base_seed..base_seed + count as u64 {
-        let plan = if cfg.lease_ticks > 0 {
+        let plan = if cfg.one_phase {
+            FaultPlan::random_one_phase_nemesis(
+                seed,
+                &mids,
+                &cfg.client_mids(),
+                (start, end),
+                cfg.txns,
+            )
+        } else if cfg.lease_ticks > 0 {
             FaultPlan::random_lease_nemesis(seed, &mids, start, end, events_per_plan)
         } else {
             FaultPlan::random_nemesis_durable(
@@ -472,7 +499,8 @@ pub fn repro_snippet(cfg: &NemesisConfig, plan: &FaultPlan, failure: &NemesisFai
     out.push_str(&format!("// {failure}\n"));
     out.push_str(&format!(
         "let cfg = NemesisConfig {{ seed: {}, cohorts: {}, window: ({}, {}), \
-         txns: {}, quiesce: {}, heal_before_check: {}, durability: {}, lease_ticks: {} }};\n",
+         txns: {}, quiesce: {}, heal_before_check: {}, durability: {}, lease_ticks: {}, \
+         one_phase: {} }};\n",
         cfg.seed,
         cfg.cohorts,
         cfg.window.0,
@@ -485,6 +513,7 @@ pub fn repro_snippet(cfg: &NemesisConfig, plan: &FaultPlan, failure: &NemesisFai
             Some(p) => format!("Some(FsyncPolicy::{p:?})"),
         },
         cfg.lease_ticks,
+        cfg.one_phase,
     ));
     out.push_str("let plan = FaultPlan::new()");
     for (time, event) in &plan.events {

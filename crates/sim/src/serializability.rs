@@ -308,7 +308,7 @@ pub fn check(observations: &[(u64, Observation)]) -> Result<(), Violation> {
 mod tests {
     use super::*;
     use vsr_core::gstate::{LockMode, Value};
-    use vsr_core::types::{Mid, ViewId};
+    use vsr_core::types::{Mid, ViewId, Viewstamp};
 
     const G: GroupId = GroupId(1);
     const O1: ObjectId = ObjectId(1);
@@ -332,7 +332,16 @@ mod tests {
     }
 
     fn committed(aid: Aid, accesses: Vec<ObjectAccess>) -> (u64, Observation) {
-        (0, Observation::TxnCommitted { group: G, mid: Mid(0), aid, accesses })
+        (
+            0,
+            Observation::TxnCommitted {
+                group: G,
+                mid: Mid(0),
+                aid,
+                accesses,
+                vs: Viewstamp::default(),
+            },
+        )
     }
 
     #[test]
@@ -377,6 +386,7 @@ mod tests {
                 mid: Mid(1),
                 aid: aid(1),
                 accesses: vec![write(O1)],
+                vs: Viewstamp::default(),
             },
         );
         assert_eq!(check(&[one, same_from_backup]), Ok(()));
@@ -392,6 +402,7 @@ mod tests {
                 mid: Mid(1),
                 aid: aid(1),
                 accesses: vec![write(O2)],
+                vs: Viewstamp::default(),
             },
         );
         assert!(matches!(check(&[a, b]), Err(Violation::DivergentCommit { .. })));
@@ -478,6 +489,7 @@ mod tests {
                 mid: Mid(1),
                 aid: aid(1),
                 accesses: vec![write(O1)],
+                vs: Viewstamp::default(),
             },
         );
         let read_after = leased(aid(2), vec![read(O1, 1)]);

@@ -27,7 +27,7 @@ pub fn timeline(observations: &[(u64, Observation)]) -> String {
                     format!("{group} {mid} joined {viewid}")
                 }
             }
-            Observation::TxnCommitted { group, mid, aid, accesses } => {
+            Observation::TxnCommitted { group, mid, aid, accesses, .. } => {
                 format!("{group} {mid} committed {aid} ({} accesses)", accesses.len())
             }
             Observation::TxnAborted { group, mid, aid } => {
@@ -143,7 +143,7 @@ pub fn summarize(metrics: &Metrics) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use vsr_core::types::{Aid, GroupId, Mid, ViewId};
+    use vsr_core::types::{Aid, GroupId, Mid, ViewId, Viewstamp};
     use vsr_core::view::View;
 
     fn obs() -> Vec<(u64, Observation)> {
@@ -169,7 +169,13 @@ mod tests {
             ),
             (
                 20,
-                Observation::TxnCommitted { group: GroupId(2), mid: Mid(2), aid, accesses: vec![] },
+                Observation::TxnCommitted {
+                    group: GroupId(2),
+                    mid: Mid(2),
+                    aid,
+                    accesses: vec![],
+                    vs: Viewstamp::default(),
+                },
             ),
             (25, Observation::TxnAborted { group: GroupId(2), mid: Mid(2), aid }),
         ]

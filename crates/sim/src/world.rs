@@ -12,6 +12,7 @@ use vsr_core::cohort::{
 };
 use vsr_core::config::CohortConfig;
 use vsr_core::durable::{DurabilityGate, RecoveredState};
+use vsr_core::history::History;
 use vsr_core::messages::Message;
 use vsr_core::module::Module;
 use vsr_core::types::Viewstamp;
@@ -970,7 +971,8 @@ impl World {
 
     /// Check that every transaction reported `Committed` to a client is
     /// durably committed at every group its script touched: a
-    /// `TxnCommitted` observation there, or a live cohort of the group
+    /// `TxnCommitted` observation there whose record the group's history
+    /// still covers, or a live cohort of the group
     /// that holds a committed-family status for it (the coordinator
     /// group's own transactions) or finished it without ever observing
     /// an abort of it, or a live coordinator-group cohort recording the
@@ -983,7 +985,7 @@ impl World {
         let mut observed: BTreeSet<(GroupId, Aid)> = BTreeSet::new();
         let mut aborted: BTreeSet<(GroupId, Aid)> = BTreeSet::new();
         let mut leased: BTreeSet<Aid> = BTreeSet::new();
-        for (_, obs) in &self.observations {
+        for (_, obs) in &self.kept_observations() {
             #[expect(
                 clippy::wildcard_enum_match_arm,
                 reason = "only outcomes and leased reads bear on lost commits"
@@ -1046,11 +1048,15 @@ impl World {
     /// coordinates. A participant's outcome record retires that status
     /// into the finished set as it is applied, so what a participant
     /// keeps per transaction is its pending records (transactions in
-    /// flight) and finished runs, never one entry per commit.
+    /// flight) and finished runs, never one entry per commit. The
+    /// one-phase commits it keeps answering for are runs too, and none
+    /// lies below its coordinator group's horizon there: the horizon
+    /// record that passes them retires them.
     ///
     /// # Errors
     ///
-    /// Returns the first foreign status found.
+    /// Returns the first foreign status, or one-phase run below its
+    /// horizon, found.
     pub fn check_bounded_state(&self) -> Result<(), String> {
         for (mid, cohort) in &self.cohorts {
             if self.crashed.contains_key(mid) {
@@ -1064,6 +1070,18 @@ impl World {
                      group {} coordinates ({} statuses in all)",
                     aid.group,
                     cohort.gstate().status_count()
+                ));
+            }
+            let gstate = cohort.gstate();
+            if let Some((start, end)) = gstate
+                .one_phase_runs()
+                .find(|(start, _)| gstate.horizon(start.group).is_some_and(|h| *start < h))
+            {
+                return Err(format!(
+                    "cohort {mid} of group {group} keeps one-phase run {start}..{end} below \
+                     group {}'s horizon {:?}",
+                    start.group,
+                    gstate.horizon(start.group)
                 ));
             }
         }
@@ -1080,7 +1098,39 @@ impl World {
         self.check_convergence()?;
         self.check_no_lost_commits()?;
         self.check_bounded_state()?;
-        crate::serializability::check(&self.observations).map_err(|v| v.to_string())
+        crate::serializability::check(&self.kept_observations()).map_err(|v| v.to_string())
+    }
+
+    /// The observations, less every commit whose outcome record its
+    /// group's history no longer covers. A one-phase commit record is
+    /// observed as it is applied, before the force that makes it the
+    /// commit point; if a view change then lost it, the transaction never
+    /// committed there (its coordinator hears a refusal or nothing). The
+    /// group's history is the one of its most advanced live, up-to-date
+    /// active cohort; a group with none keeps every commit.
+    fn kept_observations(&self) -> Vec<(u64, Observation)> {
+        let histories: BTreeMap<GroupId, &History> = self
+            .peers
+            .iter()
+            .filter_map(|(&group, config)| {
+                config
+                    .members()
+                    .iter()
+                    .filter(|m| !self.crashed.contains_key(m))
+                    .map(|m| &self.cohorts[m])
+                    .filter(|c| c.is_up_to_date() && c.status() == Status::Active)
+                    .max_by_key(|c| c.history().latest())
+                    .map(|c| (group, c.history()))
+            })
+            .collect();
+        self.observations
+            .iter()
+            .filter(|(_, obs)| {
+                let Observation::TxnCommitted { group, vs, .. } = obs else { return true };
+                histories.get(group).is_none_or(|h| h.covers(*vs))
+            })
+            .cloned()
+            .collect()
     }
 
     /// Whether the paper's view-formation rule could still admit a view

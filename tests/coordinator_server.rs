@@ -273,3 +273,32 @@ fn agent_runs_are_deterministic() {
     };
     assert_eq!(run(42), run(42));
 }
+
+/// The client's `ClientOutcome` is lost after the coordinator-server has
+/// committed the transaction and forgotten it (`done` retired a
+/// two-phase commit's status; a one-phase commit writes none): the
+/// retransmitted `ClientCommit` must hear "committed", never "aborted".
+#[test]
+fn retransmitted_client_commit_after_the_outcome_hears_committed() {
+    let scripts = [
+        vec![counter::incr(SERVER, 0, 5), bank::deposit(SERVER2, 0, 10)],
+        vec![counter::incr(SERVER, 1, 7)],
+    ];
+    for (i, script) in scripts.into_iter().enumerate() {
+        let mut w = world(40 + i as u64);
+        w.set_class_drop(&["client-outcome"]);
+        let req = w.submit_via_agent(AGENT, script);
+        w.run_for(300);
+        assert!(w.result(req).is_none(), "script {i}: the outcome was dropped");
+        let coordinator = w.primary_of(COORD).expect("coordinator-server primary");
+        assert_eq!(w.cohort(coordinator).active_coordinated_txns(), 0, "script {i}: finished");
+        w.clear_class_drop();
+        w.run_for(3_000);
+        assert!(
+            matches!(w.result(req).map(|r| &r.outcome), Some(TxnOutcome::Committed { .. })),
+            "script {i}: {:?}",
+            w.result(req)
+        );
+        w.verify().unwrap();
+    }
+}

@@ -13,6 +13,7 @@ use std::time::{Duration, Instant};
 
 use vsr_app::counter;
 use vsr_core::cohort::TxnOutcome;
+use vsr_core::config::CohortConfig;
 use vsr_core::module::NullModule;
 use vsr_core::types::{GroupId, Mid};
 use vsr_runtime::{Cluster, ClusterBuilder};
@@ -25,9 +26,26 @@ const CLIENT_MID: Mid = Mid(10);
 const SERVERS: [Mid; 3] = [Mid(1), Mid(2), Mid(3)];
 const INCREMENTS: u64 = 20;
 
-/// Per-server (appends, fsyncs) made between two disk snapshots.
+/// The cohorts whose disks the differential compares: the servers,
+/// then the one-cohort client group.
+const DISKS: [Mid; 4] = [SERVERS[0], SERVERS[1], SERVERS[2], CLIENT_MID];
+
+/// Per-cohort (appends, fsyncs) made between two disk snapshots.
 fn deltas(before: &[StoreMetrics], after: &[StoreMetrics]) -> Vec<(u64, u64)> {
     before.iter().zip(after).map(|(b, a)| (a.appends - b.appends, a.fsyncs - b.fsyncs)).collect()
+}
+
+/// Library defaults, except that no cohort ever suspects a peer: the
+/// differential compares two fault-free runs, and a view change started
+/// by a heartbeat the loaded runtime delivered late (its ticks are
+/// milliseconds of wall clock) adds the records of a view change to one
+/// side only. That is what made this test flake: runtime
+/// `[(43, 43), (46, 46), (46, 46)]` against the simulator's `(40, 40)`s,
+/// three appends at the primary and six at each backup — a new view's
+/// stable viewid, newview record and checkpoint — while nothing else
+/// appends to every server in a fault-free run.
+fn no_suspicion() -> CohortConfig {
+    CohortConfig { suspect_timeout: u64::MAX / 4, ..CohortConfig::new() }
 }
 
 /// Commit one increment in the simulator and let the group quiesce.
@@ -45,12 +63,13 @@ fn sim_increment(world: &mut World) {
 fn sim_script(policy: FsyncPolicy) -> Vec<(u64, u64)> {
     let mut world = WorldBuilder::new(7)
         .durable(policy)
+        .cohorts(no_suspicion())
         .group(CLIENT, &[CLIENT_MID], || Box::new(NullModule))
         .group(SERVER, &SERVERS, || Box::new(counter::CounterModule))
         .build();
     sim_increment(&mut world);
     let snapshot = |w: &World| -> Vec<StoreMetrics> {
-        SERVERS.iter().map(|&m| w.disk(m).expect("durable world").metrics()).collect()
+        DISKS.iter().map(|&m| w.disk(m).expect("durable world").metrics()).collect()
     };
     let before = snapshot(&world);
     for _ in 0..INCREMENTS {
@@ -126,12 +145,12 @@ impl Tally {
     }
 }
 
-/// Wait until no server's disk counters move for a while, and return
+/// Wait until no compared disk's counters move for a while, and return
 /// them: the last commit's records reach the backups after the client
 /// hears the outcome.
 fn quiesced(cluster: &Cluster) -> Vec<StoreMetrics> {
     let snapshot = || -> Vec<StoreMetrics> {
-        SERVERS.iter().map(|&m| cluster.store_metrics(m).expect("durable cluster")).collect()
+        DISKS.iter().map(|&m| cluster.store_metrics(m).expect("durable cluster")).collect()
     };
     let t0 = Instant::now();
     let mut last = snapshot();
@@ -146,8 +165,13 @@ fn quiesced(cluster: &Cluster) -> Vec<StoreMetrics> {
 }
 
 fn durable_cluster(policy: FsyncPolicy) -> Cluster {
+    durable_cluster_with(policy, CohortConfig::new())
+}
+
+fn durable_cluster_with(policy: FsyncPolicy, cfg: CohortConfig) -> Cluster {
     ClusterBuilder::new()
         .durable(policy)
+        .cohorts(cfg)
         .group(CLIENT, &[CLIENT_MID], || Box::new(NullModule))
         .group(SERVER, &SERVERS, || Box::new(counter::CounterModule))
         .start()
@@ -155,7 +179,11 @@ fn durable_cluster(policy: FsyncPolicy) -> Cluster {
 
 /// One script — a warm-up commit, then 20 serial increments on a
 /// 3-server group — run in `World` and in a `Cluster`: every server
-/// makes the same appends and the same fsyncs in both harnesses. Before
+/// makes the same appends and the same fsyncs in both harnesses, and
+/// the client group none at all: a one-group increment commits in one
+/// phase at its participant, so its coordinator writes no record
+/// (DESIGN §14). Neither harness can start a view change (see
+/// [`no_suspicion`]). Before
 /// the harnesses shared the gate rule, the runtime flushed once per
 /// pass under the lazy policies (21 fsyncs per server against 0 in the
 /// simulator under `OnStableViewIdOnly`). For the lazy policies the
@@ -166,9 +194,14 @@ fn both_harnesses_append_and_fsync_alike_under_every_ungated_policy() {
     for policy in [FsyncPolicy::EveryRecord, FsyncPolicy::OnForce, FsyncPolicy::OnStableViewIdOnly]
     {
         let sim = sim_script(policy);
-        assert!(sim.iter().all(|&(appends, _)| appends > 0), "{}: sim appended", policy.name());
+        assert!(
+            sim[..3].iter().all(|&(appends, _)| appends > 0),
+            "{}: sim appended",
+            policy.name()
+        );
+        assert_eq!(sim[3].0, 0, "{}: the sim's client group appended", policy.name());
 
-        let cluster = durable_cluster(policy);
+        let cluster = durable_cluster_with(policy, no_suspicion());
         let mut tally = Tally::default();
         tally.commit_increment(&cluster, Duration::from_secs(60));
         let before = quiesced(&cluster);
@@ -176,7 +209,12 @@ fn both_harnesses_append_and_fsync_alike_under_every_ungated_policy() {
             assert!(tally.submit_increment(&cluster), "{}: increment must commit", policy.name());
         }
         let runtime = deltas(&before, &quiesced(&cluster));
-        assert_eq!(runtime, sim, "{}: per-server (appends, fsyncs), runtime vs sim", policy.name());
+        assert_eq!(
+            runtime,
+            sim,
+            "{}: per-cohort (appends, fsyncs) of the servers and the client, runtime vs sim",
+            policy.name()
+        );
 
         if policy != FsyncPolicy::EveryRecord {
             cluster.crash(SERVERS[2]);

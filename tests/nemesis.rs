@@ -136,6 +136,60 @@ fn fifty_group_commit_plans_pass_both_oracles() {
     }
 }
 
+/// Fixed-seed sweep of 50 one-phase commit plans (DESIGN §14): every
+/// transaction is a one-group increment, so its only participant decides
+/// it. The plans drop `PrepareCommit` and its answers, crash the
+/// coordinator primary between the send and the answer, and cut off and
+/// crash the participant primary after its committed record's append and
+/// before the force; a tenth of all messages arrive twice. Every
+/// `World::verify` oracle and the liveness oracle must hold: a re-sent
+/// `PrepareCommit` hears the outcome the participant decided, and a
+/// decision lost with its primary is never reported.
+#[test]
+fn fifty_one_phase_plans_pass_both_oracles() {
+    let cfg = NemesisConfig { one_phase: true, ..NemesisConfig::default() };
+    match sweep(&cfg, 9_300, 50, 0, 0) {
+        Ok(stats) => {
+            assert_eq!(stats.passed + stats.catastrophic, 50);
+            assert_eq!(stats.catastrophic, 0, "one crash at a time never wedges a group");
+        }
+        Err((plan, failure, repro)) => {
+            panic!(
+                "one-phase nemesis sweep failed: {failure}\nminimal plan: {plan:?}\nrepro:\n{repro}"
+            );
+        }
+    }
+}
+
+/// The one-phase plans draw every scenario they exist for.
+#[test]
+fn one_phase_sweep_seeds_cover_the_commit_window() {
+    let cfg = NemesisConfig { one_phase: true, ..NemesisConfig::default() };
+    let (servers, clients) = (cfg.server_mids(), cfg.client_mids());
+    let (mut requests, mut answers, mut coordinator, mut participant) = (0, 0, 0, 0);
+    for seed in 9_300..9_350u64 {
+        let plan =
+            FaultPlan::random_one_phase_nemesis(seed, &servers, &clients, cfg.window, cfg.txns);
+        for (_, event) in &plan.events {
+            match event {
+                FaultEvent::DropClasses(classes) if classes[0] == "prepare-commit" => requests += 1,
+                FaultEvent::DropClasses(classes) if classes[0] == "commit-done" => answers += 1,
+                FaultEvent::Crash(mid) if clients.contains(mid) => coordinator += 1,
+                FaultEvent::Crash(mid) if servers.contains(mid) => participant += 1,
+                _ => {}
+            }
+        }
+    }
+    for (what, n) in [
+        ("dropped PrepareCommit", requests),
+        ("dropped answer", answers),
+        ("coordinator crash", coordinator),
+        ("participant crash", participant),
+    ] {
+        assert!(n >= 20, "only {n} plans events of kind {what} in 50 plans");
+    }
+}
+
 /// Fixed-seed sweep of 50 *lease-targeted* plans with primary read
 /// leases enabled: timer skew on sub-cohorts (within the configured
 /// `lease_skew_bound`), crashes of the leaseholder mid-lease, and

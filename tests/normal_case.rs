@@ -281,6 +281,9 @@ fn serial_increments_leave_no_participant_statuses() {
     // applied (DESIGN §14): after 200 serial increments every server
     // cohort holds no status at all, and consecutive finished aids fold
     // into one run, so the snapshotted state stops growing with commits.
+    // A one-group increment commits in one phase, so that run is a
+    // one-phase run: kept until the coordinator's horizon passes it, but
+    // still one entry.
     let mut world = counter_world(25);
     for i in 1..=200u64 {
         let req = world.submit(CLIENT, vec![counter::incr(SERVER, 0, 1)]);
@@ -292,7 +295,8 @@ fn serial_increments_leave_no_participant_statuses() {
     for &mid in world.members_of(SERVER) {
         let gstate = world.cohort(mid).gstate();
         assert_eq!(gstate.status_count(), 0, "{mid} holds statuses");
-        assert_eq!(gstate.finished_runs(), 1, "{mid}: one run of consecutive aids");
+        assert_eq!(gstate.finished_runs(), 0, "{mid}: no two-phase outcomes");
+        assert_eq!(gstate.one_phase_runs().count(), 1, "{mid}: one run of consecutive aids");
         assert!(gstate.pending_txns().next().is_none(), "{mid}: nothing pending");
     }
     world.verify().unwrap();

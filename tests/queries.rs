@@ -14,13 +14,23 @@ use vsr_simnet::NetConfig;
 
 const CLIENT: GroupId = GroupId(1);
 const SERVER: GroupId = GroupId(2);
+/// A second server group: a transaction calling both commits in two
+/// phases, with commit messages to lose and a decision to ask about (a
+/// one-group transaction commits in one phase, DESIGN §14).
+const SERVER2: GroupId = GroupId(3);
 
 fn lossy_world(seed: u64, drop_prob: f64) -> World {
     WorldBuilder::new(seed)
         .net(NetConfig { min_delay: 1, max_delay: 5, drop_prob, dup_prob: 0.05, seed })
         .group(CLIENT, &[Mid(10), Mid(11), Mid(12)], || Box::new(NullModule))
         .group(SERVER, &[Mid(1), Mid(2), Mid(3)], || Box::new(counter::CounterModule))
+        .group(SERVER2, &[Mid(4), Mid(5), Mid(6)], || Box::new(counter::CounterModule))
         .build()
+}
+
+/// Increment counter 0 at both server groups, in two phases.
+fn two_group_incr() -> Vec<vsr_core::cohort::CallOp> {
+    vec![counter::incr(SERVER, 0, 1), counter::incr(SERVER2, 0, 1)]
 }
 
 #[test]
@@ -32,7 +42,7 @@ fn lost_commit_messages_resolved_by_queries() {
         let mut w = lossy_world(seed, 0.15);
         let mut committed = Vec::new();
         for i in 0..10u64 {
-            let req = w.submit(CLIENT, vec![counter::incr(SERVER, 0, 1)]);
+            let req = w.submit(CLIENT, two_group_incr());
             w.run_for(6_000);
             if matches!(w.result(req).map(|r| &r.outcome), Some(TxnOutcome::Committed { .. })) {
                 committed.push(req);
@@ -43,7 +53,7 @@ fn lost_commit_messages_resolved_by_queries() {
         w.run_for(30_000);
         // Every live server cohort must hold no pending (undecided)
         // transactions once the workload quiesces.
-        for &mid in w.members_of(SERVER) {
+        for &mid in w.members_of(SERVER).iter().chain(w.members_of(SERVER2)) {
             if w.is_crashed(mid) {
                 continue;
             }
@@ -164,8 +174,9 @@ fn queries_answered_by_backups_when_primary_is_down() {
     let mut w = WorldBuilder::new(9)
         .group(CLIENT, &[Mid(10), Mid(11), Mid(12)], || Box::new(NullModule))
         .group(SERVER, &[Mid(1), Mid(2), Mid(3)], || Box::new(counter::CounterModule))
+        .group(SERVER2, &[Mid(4), Mid(5), Mid(6)], || Box::new(counter::CounterModule))
         .build();
-    let req = w.submit(CLIENT, vec![counter::incr(SERVER, 0, 1)]);
+    let req = w.submit(CLIENT, two_group_incr());
     w.run_for(3_000);
     assert!(matches!(w.result(req).map(|r| &r.outcome), Some(TxnOutcome::Committed { .. })));
     let aid = w.result(req).unwrap().aid.unwrap();
