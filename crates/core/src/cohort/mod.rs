@@ -1169,7 +1169,7 @@ impl Cohort {
             }
             Message::Abort { aid } => self.on_abort_msg(now, aid, &mut out),
             Message::Query { aid, reply_to } => self.on_query(aid, reply_to, &mut out),
-            Message::Horizon { done_below } => self.on_horizon(done_below, &mut out),
+            Message::Horizon { done_below } => self.on_horizon(now, done_below, &mut out),
             Message::ClientBegin { req, reply_to } => self.on_client_begin(req, reply_to, &mut out),
             Message::ClientCommit { aid, pset, reply_to } => {
                 self.on_client_commit(now, aid, pset, reply_to, &mut out)

@@ -340,11 +340,7 @@ impl Cohort {
             });
             return;
         }
-        let read_only = self
-            .gstate
-            .pending_calls(aid)
-            .iter()
-            .all(|r| r.accesses.iter().all(|a| a.mode == LockMode::Read));
+        let read_only = self.holds_only_reads(aid);
         let Some(vs_max) = pset.vs_max(self.group) else {
             // The pset names us as a participant but contains no entry
             // for our group — a coordinator bug; refuse defensively.
@@ -362,6 +358,14 @@ impl Cohort {
         for reason in fired {
             self.fire_force_reason(now, reason, out);
         }
+    }
+
+    /// Whether every record `aid` holds here only reads.
+    fn holds_only_reads(&self, aid: Aid) -> bool {
+        self.gstate
+            .pending_calls(aid)
+            .iter()
+            .all(|r| r.accesses.iter().all(|a| a.mode == LockMode::Read))
     }
 
     /// Continuation once the prepare's force has completed: release read
@@ -429,13 +433,8 @@ impl Cohort {
             self.force_one_phase(now, latest, aid, coordinator, false, out);
             return;
         }
-        let finished = self.gstate.is_finished(aid);
-        // Lost call records refuse, as at a prepare. So do records still
-        // pending below the coordinator's horizon: the coordinator primary
-        // that set it had finished with the transaction, so it aborted.
-        if !self.history.compatible(&pset, self.group)
-            || (finished && !self.gstate.pending_calls(aid).is_empty())
-        {
+        // Lost call records refuse, as at a prepare.
+        if !self.history.compatible(&pset, self.group) {
             out.push(Effect::Send {
                 to: coordinator,
                 msg: Message::PrepareRefuse { aid, group: self.group },
@@ -444,18 +443,15 @@ impl Cohort {
             return;
         }
         // Decided here before, but not committed in one phase, or below
-        // the horizon: the finished set does not say which outcome it
-        // had, so no answer (the coordinator that could still be waiting
-        // was deposed and reports the transaction unresolved).
-        if finished {
+        // the horizon (a horizon decides what is still pending below it):
+        // the finished set does not say which outcome it had, so no
+        // answer (the coordinator that could still be waiting was deposed
+        // and reports the transaction unresolved).
+        if self.gstate.is_finished(aid) {
             return;
         }
         self.last_activity.remove(&aid);
-        let read_only = self
-            .gstate
-            .pending_calls(aid)
-            .iter()
-            .all(|r| r.accesses.iter().all(|a| a.mode == LockMode::Read));
+        let read_only = self.holds_only_reads(aid);
         if read_only {
             // Figure 3's read-only vote: once the call records are at a
             // sub-majority (often already true) the locks go and the
@@ -609,13 +605,37 @@ impl Cohort {
     /// A coordinator's horizon arrived: log it if it lets this
     /// participant forget anything (the `horizon` record then retires
     /// identically at the backups, on replay and in snapshots).
-    pub(crate) fn on_horizon(&mut self, done_below: Aid, out: &mut Vec<Effect>) {
-        if self.is_active_primary()
-            && done_below.group != self.group
-            && self.gstate.horizon_advances(done_below)
+    ///
+    /// A transaction still holding records here below the horizon
+    /// finished at its coordinator without this group's acknowledgement
+    /// (a commit that needs it stays in flight until it arrives). So it
+    /// aborted and the abort message was lost, or this group voted
+    /// read-only, which hears no phase two, and a crash lost the
+    /// committed record the vote wrote. Its outcome is written first,
+    /// through the ordinary record, and its locks go: a read-only one
+    /// commits, as Figure 3's read-only vote does whatever the
+    /// coordinator decides; any other one aborts.
+    pub(crate) fn on_horizon(&mut self, now: Tick, done_below: Aid, out: &mut Vec<Effect>) {
+        if !self.is_active_primary()
+            || done_below.group == self.group
+            || !self.gstate.horizon_advances(done_below)
         {
-            self.primary_add(EventKind::Horizon { done_below }, out);
+            return;
         }
+        let passed: Vec<Aid> = self
+            .gstate
+            .pending_txns()
+            .map(|(aid, _)| aid)
+            .filter(|aid| aid.group == done_below.group && *aid < done_below)
+            .collect();
+        for aid in passed {
+            if self.holds_only_reads(aid) {
+                self.on_commit(now, aid, None, out);
+            } else {
+                self.abort_participant(now, aid, out);
+            }
+        }
+        self.primary_add(EventKind::Horizon { done_below }, out);
     }
 
     /// What this cohort knows about the transaction's outcome. "We allow

@@ -121,11 +121,21 @@ impl RecoveredState {
 /// unsynced is parked here, stamped with the append count at that
 /// moment, and released in order once a sync covers its stamp.
 ///
-/// `BufferSend` passes: replication traffic promises nothing (only the
-/// backup's acknowledgement, sent after *its* covering sync, counts
-/// toward the sub-majority), so shipping records early overlaps the
-/// primary's sync with the backups'. Timers, observations and persists
-/// never wait.
+/// Two messages pass because they promise nothing about durability:
+/// - `BufferSend`: replication traffic (only the backup's
+///   acknowledgement, sent after *its* covering sync, counts toward the
+///   sub-majority), so shipping records early overlaps the primary's
+///   sync with the backups'.
+/// - `CallReply`: the paper returns a call before its completed-call
+///   record is forced (Section 6). The primary's own sync of that record
+///   would buy the call nothing: a store that needs this gate recovers
+///   with a crash-acceptance, so its log never carries the call into a
+///   new view; only a backup's copy can, and the prepare's force covers
+///   that. A call lost in a crash is caught at prepare by
+///   `compatible(pset, history)`. Under `eager_force_calls` the reply is
+///   emitted only once the record's force to the backups completes.
+///
+/// Timers, observations and persists never wait.
 ///
 /// The gate is sans-I/O: the harness reports appends and completed
 /// syncs, and executes whatever the gate hands back. Released effects
@@ -151,7 +161,9 @@ impl DurabilityGate {
     /// the records appended so far are synced.
     pub fn admit(&mut self, effect: Effect) -> Option<Effect> {
         let asserts_durability = match &effect {
-            Effect::Send { msg, .. } => !matches!(msg, Message::BufferSend { .. }),
+            Effect::Send { msg, .. } => {
+                !matches!(msg, Message::BufferSend { .. } | Message::CallReply { .. })
+            }
             Effect::TxnResult { .. } => true,
             Effect::SetTimer { .. } | Effect::Persist(_) | Effect::Observe(_) => false,
         };
@@ -197,7 +209,7 @@ impl DurabilityGate {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::types::Mid;
+    use crate::types::{Aid, CallId, GroupId, Mid, Timestamp, Viewstamp};
 
     #[test]
     fn viewid_only_is_incomplete() {
@@ -307,6 +319,67 @@ mod tests {
         assert_eq!(gate.synced(3), vec![reply(1)]);
         assert!(gate.synced(1).is_empty());
         assert!(!gate.is_dirty(), "the watermark never moves back");
+    }
+
+    fn send(msg: Message) -> Effect {
+        Effect::Send { to: Mid(1), msg }
+    }
+
+    fn call_reply() -> Effect {
+        let aid = Aid { group: GroupId(9), view: ViewId::initial(Mid(1)), seq: 0 };
+        send(Message::CallReply {
+            call_id: CallId { aid, seq: 0 },
+            outcome: crate::messages::CallOutcome::Ok {
+                result: Vec::new(),
+                pset: crate::pset::PSet::new(),
+            },
+        })
+    }
+
+    /// One of each effect that asserts durability: votes, a participant's
+    /// commit acknowledgement, a backup's acknowledgement, a view-change
+    /// acceptance and a client outcome.
+    fn asserting() -> Vec<Effect> {
+        let viewid = ViewId::initial(Mid(1));
+        let aid = Aid { group: GroupId(9), view: viewid, seq: 0 };
+        let group = GroupId(2);
+        vec![
+            send(Message::PrepareOk { aid, group, read_only: false }),
+            send(Message::PrepareRefuse { aid, group }),
+            send(Message::CommitDone { aid, group }),
+            send(Message::BufferAck { viewid, from: Mid(2), upto: Timestamp(3) }),
+            send(Message::AcceptNormal {
+                viewid,
+                from: Mid(2),
+                latest: Viewstamp::default(),
+                was_primary: false,
+            }),
+            reply(1),
+        ]
+    }
+
+    #[test]
+    fn call_reply_passes_a_dirty_gate() {
+        let mut gate = DurabilityGate::new(0, 0);
+        assert!(gate.persisted(1, 1).is_empty());
+        assert!(gate.is_dirty());
+        assert_eq!(gate.admit(call_reply()), Some(call_reply()));
+    }
+
+    #[test]
+    fn durability_assertions_park_and_the_covering_sync_releases_them_in_order() {
+        let mut gate = DurabilityGate::new(0, 0);
+        assert!(gate.persisted(1, 1).is_empty());
+        for effect in asserting() {
+            assert_eq!(gate.admit(effect.clone()), None, "{effect:?} passed a dirty gate");
+            // A call reply admitted between them is not held back by
+            // what is parked before it.
+            assert_eq!(gate.admit(call_reply()), Some(call_reply()));
+        }
+        assert!(gate.persisted(1, 2).is_empty());
+        assert_eq!(gate.admit(reply(2)), None);
+        assert_eq!(gate.synced(1), asserting());
+        assert_eq!(gate.synced(2), vec![reply(2)]);
     }
 
     #[test]

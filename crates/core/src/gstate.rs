@@ -472,14 +472,19 @@ impl GroupState {
 
     /// Apply a coordinator horizon: every aid of `done_below.group`
     /// ordered below it has finished at its coordinator, so this group
-    /// forgets its runs, statuses and dropped-call ids below it. Pending
-    /// records stay: a transaction still holding records here below the
-    /// horizon aborted, and only its outcome record may discard them.
+    /// forgets its runs, statuses and dropped-call ids below it. No
+    /// records are pending below it: the primary logs the outcome of a
+    /// transaction still holding records here below the horizon before
+    /// the `horizon` record (`Cohort::on_horizon`).
     pub fn finish_below(&mut self, done_below: Aid) {
         let group = done_below.group;
         if !self.horizon_advances(done_below) {
             return;
         }
+        debug_assert!(
+            !self.pending.keys().any(|aid| aid.group == group && *aid < done_below),
+            "records pending below the horizon {done_below}"
+        );
         self.horizons.insert(group, done_below);
         trim_runs(&mut self.finished, done_below);
         trim_runs(&mut self.one_phase, done_below);

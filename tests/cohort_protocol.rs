@@ -1132,6 +1132,54 @@ fn call_below_a_coordinator_horizon_does_not_execute() {
 }
 
 #[test]
+fn horizon_decides_the_transactions_pending_below_it_before_it_is_logged() {
+    // Nothing else will ever write an outcome for records still pending
+    // below a coordinator's horizon. A transaction that wrote aborted
+    // (its abort message was lost); a read-only one (of counter 1)
+    // commits, as it may be a read-only vote whose committed record a
+    // crash lost.
+    let mut primary = server_cohort(Mid(1));
+    let reader = aid(1);
+    let read = counter::read(SERVER, 1);
+    primary.on_message(
+        5,
+        CLIENT_MID,
+        Message::Call {
+            viewid: primary.cur_viewid(),
+            call_id: CallId { aid: reader, seq: 0 },
+            proc: read.proc,
+            args: read.args,
+        },
+    );
+    let a = aid(2);
+    let vs = run_call_and_ack(&mut primary, a);
+    assert!(primary.locks().holds_any(reader) && primary.locks().holds_any(a));
+    let effects = primary.on_message(20, CLIENT_MID, Message::Horizon { done_below: aid(3) });
+    let kinds: Vec<&str> = effects
+        .iter()
+        .filter_map(|e| match e {
+            Effect::Persist(vsr_core::durable::DurableEvent::Record(r)) => Some(r.kind.name()),
+            _ => None,
+        })
+        .collect();
+    assert_eq!(kinds, ["committed", "aborted", "horizon"], "{effects:?}");
+    assert_finished(&primary, reader);
+    assert_finished(&primary, a);
+    assert_eq!(primary.locks().locked_objects(), 0);
+    // A late one-phase commit for it never hears "committed".
+    let mut pset = PSet::new();
+    pset.insert(SERVER, vs);
+    let mut effects = primary.on_message(30, CLIENT_MID, prepare_commit(a, pset));
+    effects.extend(ack_all(&mut primary, 31));
+    assert_eq!(records_written(&effects), 0, "{effects:?}");
+    assert!(
+        !sends(&effects).iter().any(|m| matches!(m, Message::CommitDone { .. })),
+        "{effects:?}"
+    );
+    assert_eq!(version(&primary), None, "the aborted increment never installed");
+}
+
+#[test]
 fn serial_commits_keep_one_finished_run_and_the_horizon_absorbs_it() {
     let mut primary = server_cohort(Mid(1));
     for seq in 0..5 {

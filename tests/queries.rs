@@ -120,6 +120,63 @@ fn lost_abort_messages_release_locks_via_queries() {
 }
 
 #[test]
+fn horizon_past_a_lost_abort_frees_the_participants_locks() {
+    // The coordinator's abort is lost, and so is every query reply: the
+    // participant learns only the coordinator's horizon, as it does when
+    // the coordinator primary that sets it knows nothing of the
+    // transaction. The horizon passing the transaction must abort it
+    // there, or its write lock is held forever.
+    let mut cfg = CohortConfig::new();
+    cfg.stale_txn_timeout = 300; // sweep quickly for the test
+    let mut w = WorldBuilder::new(11)
+        .net(NetConfig { min_delay: 1, max_delay: 3, drop_prob: 0.0, dup_prob: 0.0, seed: 11 })
+        .cohorts(cfg)
+        .group(CLIENT, &[Mid(10), Mid(11), Mid(12)], || Box::new(NullModule))
+        .group(SERVER, &[Mid(1), Mid(2), Mid(3)], || Box::new(counter::CounterModule))
+        .build();
+    let warm = w.submit(CLIENT, vec![counter::incr(SERVER, 1, 1)]);
+    w.run_for(2_000);
+    assert!(w.result(warm).is_some());
+    w.set_class_drop(&["abort", "query-reply"]);
+    // The first call takes a write lock on counter 0; the refused second
+    // call aborts the transaction.
+    let req = w.submit(
+        CLIENT,
+        vec![
+            counter::incr(SERVER, 0, 1),
+            vsr_core::cohort::CallOp {
+                group: SERVER,
+                proc: "no-such-procedure".into(),
+                args: vec![],
+            },
+        ],
+    );
+    w.run_for(100);
+    assert!(matches!(w.result(req).map(|r| &r.outcome), Some(TxnOutcome::Aborted { .. })));
+    let server = w.primary_of(SERVER).expect("server primary");
+    let aid = w.result(req).and_then(|r| r.aid).expect("an aid");
+    assert!(w.cohort(server).locks().holds_any(aid), "the lost abort left the lock");
+    w.run_for(5_000);
+    let horizon = w.cohort(server).gstate().horizon(CLIENT);
+    assert!(horizon.is_some_and(|h| aid < h), "the horizon passed {aid}: {horizon:?}");
+    for &mid in w.members_of(SERVER) {
+        let cohort = w.cohort(mid);
+        assert_eq!(cohort.gstate().pending_txns().count(), 0, "cohort {mid} keeps records");
+        assert_eq!(cohort.locks().holders().count(), 0, "cohort {mid} keeps locks");
+    }
+    w.clear_class_drop();
+    let next = w.submit(CLIENT, vec![counter::incr(SERVER, 0, 5)]);
+    w.run_for(2_000);
+    match &w.result(next).expect("an outcome").outcome {
+        TxnOutcome::Committed { results } => {
+            assert_eq!(counter::decode_value(&results[0]).unwrap(), 5, "lock was free");
+        }
+        other => panic!("expected commit, got {other:?}"),
+    }
+    w.verify().unwrap();
+}
+
+#[test]
 fn coordinator_crash_between_prepare_and_commit_resolved() {
     // The classic 2PC window: the participant has voted yes and holds
     // locks when the coordinator's primary crashes. The commit decision
