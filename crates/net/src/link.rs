@@ -85,6 +85,11 @@ impl LinkFsm {
         self.backoff_ms
     }
 
+    /// Has this link ever been established?
+    pub fn ever_connected(&self) -> bool {
+        self.ever_connected
+    }
+
     /// Is the next/current connect attempt a *re*connect — i.e. not
     /// the very first dial of a fresh link?
     pub fn is_reconnect(&self) -> bool {

@@ -11,14 +11,16 @@
 //! * one **writer** thread per peer in the dial map — drives a
 //!   [`LinkFsm`] through connect / established / half-open /
 //!   reconnecting, draining that peer's [`BoundedQueue`] while the
-//!   link is up.
+//!   link is up. A link backing off redials at once when the peer
+//!   connects to this endpoint, and a re-established link drops what
+//!   was queued while it was down.
 //!
 //! Losing frames is always acceptable where blocking is not: the
 //! cohort thread enqueues and moves on; queue overflow, link downtime,
-//! and deadline teardowns all surface as counted drops that the
-//! protocol's retry timers paper over, exactly as they do for a lossy
-//! network. All sleeps and deadline checks poll the shutdown flag, so
-//! teardown completes in a bounded couple hundred milliseconds.
+//! and deadline teardowns all surface as drops (overflow is counted)
+//! that the protocol's retry timers paper over, exactly as they do for
+//! a lossy network. All sleeps and deadline checks poll the shutdown
+//! flag, so teardown completes in a bounded couple hundred milliseconds.
 
 #![expect(
     clippy::disallowed_types,
@@ -31,7 +33,7 @@
 use std::collections::BTreeMap;
 use std::io::{self, Read, Write};
 use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream};
-use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, PoisonError};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
@@ -191,6 +193,10 @@ struct Shared {
     closed: AtomicBool,
     listen_addr: SocketAddr,
     readers: Mutex<Vec<JoinHandle<()>>>,
+    /// Per peer, how many inbound connections from it have delivered a
+    /// first frame. A writer backing off from that peer redials as soon
+    /// as the count moves: the peer is listening again.
+    inbound: BTreeMap<Mid, AtomicU64>,
 }
 
 struct PeerLink {
@@ -230,6 +236,7 @@ impl Endpoint {
             closed: AtomicBool::new(false),
             listen_addr,
             readers: Mutex::new(Vec::new()),
+            inbound: peers.keys().map(|&peer| (peer, AtomicU64::new(0))).collect(),
         });
         let accept = {
             let shared = Arc::clone(&shared);
@@ -376,6 +383,7 @@ fn reader_loop(shared: &Arc<Shared>, mut sock: TcpStream) {
     let mut chunk = vec![0u8; 64 * 1024];
     let mut last_progress = Instant::now();
     let read_deadline = Duration::from_millis(shared.cfg.read_deadline_ms);
+    let mut first_frame = true;
     loop {
         if shared.closed.load(Ordering::SeqCst) {
             sock.shutdown(Shutdown::Both).ok();
@@ -389,6 +397,12 @@ fn reader_loop(shared: &Arc<Shared>, mut sock: TcpStream) {
                 loop {
                     match fbuf.next_frame() {
                         Ok(Some((from, msg))) => {
+                            if first_frame {
+                                first_frame = false;
+                                if let Some(count) = shared.inbound.get(&from) {
+                                    count.fetch_add(1, Ordering::SeqCst);
+                                }
+                            }
                             shared.metrics.frames_recvd.fetch_add(1, Ordering::Relaxed);
                             (shared.deliver)(from, msg);
                         }
@@ -428,6 +442,10 @@ fn writer_loop(
     let mut fsm = LinkFsm::new(salt);
     let mut sock: Option<TcpStream> = None;
     let cfg = &shared.cfg;
+    // The peer's inbound connections to this endpoint, counted when the
+    // last dial began or the established link was lost.
+    let inbound = |shared: &Shared| shared.inbound.get(&peer).map(|c| c.load(Ordering::SeqCst));
+    let mut inbound_seen = inbound(shared);
     loop {
         if shared.closed.load(Ordering::SeqCst) {
             if let Some(s) = &sock {
@@ -440,9 +458,20 @@ fn writer_loop(
                 if fsm.is_reconnect() {
                     shared.metrics.reconnects.fetch_add(1, Ordering::Relaxed);
                 }
+                inbound_seen = inbound(shared);
                 let timeout = Duration::from_millis(cfg.connect_timeout_ms);
                 match TcpStream::connect_timeout(&dial, timeout) {
                     Ok(s) => {
+                        if fsm.ever_connected() {
+                            // What was queued while the link was down
+                            // was meant for a connection the peer may no
+                            // longer remember (it may have restarted in
+                            // between): drop it like the network would
+                            // have. Delivered seconds late, a stale
+                            // invitation can pull a restarted cohort into
+                            // a view change that ended long ago.
+                            while queue.try_recv().is_some() {}
+                        }
                         s.set_nodelay(true).ok();
                         s.set_write_timeout(Some(Duration::from_millis(cfg.write_deadline_ms)))
                             .ok();
@@ -499,9 +528,11 @@ fn writer_loop(
                                 // frames in flight are lost, like any
                                 // network drop.
                                 shared.metrics.deadline_hits.fetch_add(1, Ordering::Relaxed);
+                                inbound_seen = inbound(shared);
                                 fsm.stalled();
                             }
                             Err(_) => {
+                                inbound_seen = inbound(shared);
                                 fsm.failed(cfg);
                                 sock = None;
                             }
@@ -523,8 +554,16 @@ fn writer_loop(
                 fsm.failed(cfg);
             }
             LinkState::Reconnecting => {
+                // A peer that connected to this endpoint since the link
+                // was lost or the last dial began is listening again:
+                // dial it now. Otherwise a restarted peer waits for
+                // whatever point the backoff it went down under has
+                // reached, up to the capped delay.
                 let mut left = fsm.backoff_ms();
-                while left > 0 && !shared.closed.load(Ordering::SeqCst) {
+                while left > 0
+                    && !shared.closed.load(Ordering::SeqCst)
+                    && inbound(shared) == inbound_seen
+                {
                     let slice = left.min(BACKOFF_SLICE_MS);
                     std::thread::sleep(Duration::from_millis(slice));
                     left -= slice;

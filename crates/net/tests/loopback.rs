@@ -150,6 +150,67 @@ fn peer_restart_reconnects_and_delivery_resumes() {
 }
 
 #[test]
+fn restarted_peer_is_redialled_when_it_connects_and_gets_no_stale_frames() {
+    let a = Mid(1);
+    let b = Mid(2);
+    let mut addrs = AddrMap::loopback(&[a, b]).expect("bind loopback");
+    // A first reconnect delay far longer than the test's patience: only
+    // the peer's own connection can end a's backoff in time.
+    let mut cfg = NetConfig::new();
+    cfg.reconnect_base_ms = 3_000;
+    let (_, deliver_a) = collector();
+    let (seen_b, deliver_b) = collector();
+    let ep_a = endpoint_from(&mut addrs, a, &cfg, deliver_a);
+    let b_bind = addrs.bind_addr(b).expect("b is mapped");
+    let ep_b = endpoint_from(&mut addrs, b, &cfg, deliver_b);
+    assert!(wait_until(Duration::from_secs(5), || {
+        ep_a.send(b, &probe(1));
+        !seen_b.lock().expect("lock").is_empty()
+    }));
+
+    // Kill b and keep writing until a's writer has seen the reset and
+    // backs off; then queue a frame into the downtime.
+    ep_b.shutdown();
+    drop(ep_b);
+    for _ in 0..10 {
+        ep_a.send(b, &probe(1));
+        std::thread::sleep(Duration::from_millis(20));
+    }
+    ep_a.send(b, &probe(3));
+
+    let (seen_b2, deliver_b2) = collector();
+    let ep_b2 = Endpoint::bind(
+        b,
+        b_bind,
+        &addrs.dial_addrs(),
+        cfg.clone(),
+        Arc::new(NetMetrics::default()),
+        deliver_b2,
+        Duration::from_secs(5),
+    )
+    .expect("rebind after restart");
+    let restarted = Instant::now();
+    assert!(ep_b2.send(a, &probe(5)), "the restarted peer dials a");
+    assert!(
+        wait_until(Duration::from_millis(1_500), || {
+            ep_a.send(b, &probe(7));
+            !seen_b2.lock().expect("lock").is_empty()
+        }),
+        "a redialled the restarted peer before its backoff ran out"
+    );
+    assert!(restarted.elapsed() < Duration::from_millis(1_500));
+    let stale = seen_b2
+        .lock()
+        .expect("lock")
+        .iter()
+        .filter(|(_, msg)| matches!(msg, Message::Probe { group: GroupId(3), .. }))
+        .count();
+    assert_eq!(stale, 0, "the frame queued while b was down was dropped");
+    ep_a.shutdown();
+    ep_b2.shutdown();
+}
+
+#[test]
 fn full_queue_to_a_dead_peer_drops_oldest_and_never_blocks() {
     let a = Mid(1);
     let b = Mid(2);
