@@ -32,7 +32,7 @@ use crate::gstate::{GroupState, ObjectAccess};
 use crate::history::History;
 use crate::lease::LeaseHolder;
 use crate::locks::LockTable;
-use crate::messages::Message;
+use crate::messages::{Message, QueryOutcome};
 use crate::module::Module;
 use crate::snapshot::{SnapDigest, Snapshot, SnapshotRef};
 use crate::types::{Aid, CallId, GroupId, Mid, Tick, Timestamp, ViewId, Viewstamp};
@@ -2134,6 +2134,23 @@ impl Cohort {
     /// lost ("recovery from lost messages is done by using queries",
     /// Section 4.1).
     fn sweep_stale_txns(&mut self, now: Tick, out: &mut Vec<Effect>) {
+        // This group's own transactions that a view change cut off from
+        // their coordinator: the new primary restored their locks from
+        // the call records (Section 3.3), and nothing else will free
+        // them. They aborted automatically with the view change
+        // (Section 3.1), which is the answer a query would get here;
+        // apply it through the ordinary abort record.
+        let cut_off: Vec<Aid> = self
+            .gstate
+            .pending_txns()
+            .map(|(aid, _)| aid)
+            .filter(|aid| {
+                aid.group == self.group && self.answer_query(*aid) == QueryOutcome::Aborted
+            })
+            .collect();
+        for aid in cut_off {
+            self.abort_participant(now, aid, out);
+        }
         let stale: Vec<Aid> = self
             .gstate
             .pending_txns()

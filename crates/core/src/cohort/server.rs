@@ -507,7 +507,20 @@ impl Cohort {
         }
         self.prepared.remove(&aid);
         if let Some(status) = self.gstate.status(aid) {
-            if status.is_committed() {
+            if !status.is_committed() {
+                // Aborted locally but the coordinator decided commit:
+                // this would be a protocol violation — the coordinator
+                // only commits after our yes vote, and we only abort
+                // locally after a refusal or an abort message.
+                debug_assert!(false, "commit received for locally aborted transaction {aid}");
+                return;
+            }
+            // A group coordinating a transaction on itself finds its own
+            // committing record here while its calls still wait for this
+            // phase two; anything else committed is a duplicate.
+            let own_phase_two = matches!(status, TxnStatus::Committing { .. })
+                && !self.gstate.pending_calls(aid).is_empty();
+            if !own_phase_two {
                 // Duplicate commit: just re-acknowledge.
                 if let Some(to) = ack_to {
                     out.push(Effect::Send {
@@ -517,12 +530,6 @@ impl Cohort {
                 }
                 return;
             }
-            // Aborted locally but the coordinator decided commit: this
-            // would be a protocol violation — the coordinator only
-            // commits after our yes vote, and we only abort locally after
-            // a refusal or an abort message.
-            debug_assert!(false, "commit received for locally aborted transaction {aid}");
-            return;
         }
         // A participant votes yes only after forcing its records, so a
         // commit that finds none here is a duplicate for a transaction

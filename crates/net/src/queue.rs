@@ -3,11 +3,11 @@
 //! the producer.
 //!
 //! Both transports use it — per-peer outbound socket queues in
-//! [`crate::socket`] and the in-process cohort mailboxes in
+//! [`crate::socket`] and the runtime host's input queue in
 //! vsr-runtime — so "what happens when a consumer can't keep up" has
 //! exactly one answer: the newest message is admitted, the oldest
 //! unprocessed one is dropped, the drop is counted, and the producer
-//! (a cohort thread holding protocol state) never stalls. Dropping old
+//! (the runtime's host thread, holding protocol state) never stalls. Dropping old
 //! mail is safe for the same reason the network may drop it: every
 //! protocol interaction is covered by a retry timer, and retries carry
 //! fresher state than the queue entry they replace.

@@ -16,7 +16,7 @@
 //!   was queued while it was down.
 //!
 //! Losing frames is always acceptable where blocking is not: the
-//! cohort thread enqueues and moves on; queue overflow, link downtime,
+//! host thread enqueues and moves on; queue overflow, link downtime,
 //! and deadline teardowns all surface as drops (overflow is counted)
 //! that the protocol's retry timers paper over, exactly as they do for
 //! a lossy network. All sleeps and deadline checks poll the shutdown

@@ -1,18 +1,20 @@
-//! The one accounting path from protocol events to telemetry.
+//! The one accounting and effect-dispatch path from protocol events to
+//! telemetry and I/O.
 //!
-//! Both harnesses — the sim `World` and the runtime cohort thread —
+//! Both harnesses — the sim `World` and the runtime's host loop —
 //! execute the same core effects, and both must turn them into the same
 //! [`Metrics`] counters and [`TraceKind`] events. Every such decision
-//! lives here, once: a harness hands each send, delivery, timer fire,
-//! store write, fsync completion and observation to the matching
-//! `on_*` hook, records the returned trace kind if tracing is on, and
-//! otherwise does nothing but I/O. The matches below are exhaustive, so
-//! a new message class, timer or observation is a compile error here
-//! until someone decides how it is counted.
+//! lives here, once: a harness hands each delivery and timer fire to
+//! the matching `on_*` hook, passes every effect list to [`dispatch`]
+//! (and every covering-fsync completion to [`synced`]), and implements
+//! [`EffectHost`] with nothing but I/O. The matches below are
+//! exhaustive, so a new message class, timer, effect or observation is
+//! a compile error here until someone decides how it is counted.
 
-use vsr_core::cohort::{Effect, Observation, Timer};
+use vsr_core::cohort::{Effect, Observation, Timer, TxnOutcome};
+use vsr_core::durable::{DurabilityGate, DurableEvent};
 use vsr_core::messages::Message;
-use vsr_core::types::{Mid, Viewstamp};
+use vsr_core::types::{Aid, Mid, Viewstamp};
 
 use crate::event::TraceKind;
 use crate::metrics::Metrics;
@@ -196,6 +198,114 @@ impl Metrics {
             Observation::TxnCommitted { .. } | Observation::TxnAborted { .. } => {}
         }
         None
+    }
+}
+
+/// The I/O a harness performs for the effects [`dispatch`] lets out:
+/// a virtual network and disk in the simulator, queues, timer heaps and
+/// stores in the runtime. Every method names the cohort whose effect it
+/// is.
+pub trait EffectHost {
+    /// The counters the hooks update.
+    fn metrics(&mut self) -> &mut Metrics;
+    /// Record a trace event (a no-op unless tracing is on); `vs: None`
+    /// stamps the cohort's current viewstamp.
+    fn trace(&mut self, mid: Mid, kind: TraceKind, vs: Option<Viewstamp>);
+    /// The cohort's durability gate, if its store needs one.
+    fn gate(&mut self, mid: Mid) -> Option<&mut DurabilityGate>;
+    /// Whether the cohort stopped on a fatal store error: nothing more
+    /// of its effects may leave.
+    fn stopped(&self, _mid: Mid) -> bool {
+        false
+    }
+    /// Hand a message to the transport.
+    fn send(&mut self, from: Mid, to: Mid, msg: Message);
+    /// Arm a timer `after` ticks from now.
+    fn set_timer(&mut self, mid: Mid, after: u64, timer: Timer);
+    /// Report a client-visible outcome.
+    fn result(&mut self, mid: Mid, req_id: u64, aid: Option<Aid>, outcome: TxnOutcome);
+    /// Write `event` to the cohort's store and say what the write did;
+    /// `None` when there is no store (the paper's no-disk design drops
+    /// the effect) or the write failed and the cohort stopped.
+    fn persist(&mut self, mid: Mid, event: &DurableEvent) -> Option<PersistDelta>;
+    /// Deliver an observation to the harness's own consumers (the
+    /// hooks have already counted it).
+    fn observe(&mut self, mid: Mid, obs: Observation);
+}
+
+/// Run one handler's effects: admit each through the cohort's
+/// durability gate, account it, and execute what the gate lets out.
+pub fn dispatch<H: EffectHost + ?Sized>(host: &mut H, mid: Mid, effects: Vec<Effect>) {
+    for effect in effects {
+        if host.stopped(mid) {
+            // A fatal store error dropped the parked effects; nothing
+            // later may leak out either.
+            return;
+        }
+        let admitted = match host.gate(mid) {
+            Some(gate) => gate.admit(effect),
+            None => Some(effect),
+        };
+        if let Some(effect) = admitted {
+            execute(host, mid, effect);
+        }
+    }
+}
+
+/// A covering fsync made every record appended up to the `upto`
+/// watermark durable, `covered` of them newly (see
+/// [`Metrics::on_sync`]): account it and release what the gate parked
+/// behind those records.
+pub fn synced<H: EffectHost + ?Sized>(host: &mut H, mid: Mid, upto: u64, covered: u64) {
+    if host.stopped(mid) {
+        return;
+    }
+    host.metrics().on_sync(covered);
+    let released = host.gate(mid).map(|gate| gate.synced(upto)).unwrap_or_default();
+    for effect in released {
+        execute(host, mid, effect);
+    }
+}
+
+/// A write to the cohort's store did `delta` (see [`EffectHost::persist`]):
+/// account it and release what the gate parked behind the records it
+/// made durable. A harness that performs a cohort's leading `Persist`
+/// effects itself, before handing the rest to [`dispatch`], reports
+/// each write here first.
+pub fn persisted<H: EffectHost + ?Sized>(host: &mut H, mid: Mid, delta: PersistDelta) {
+    if let Some(kind) = host.metrics().on_persist(&delta) {
+        host.trace(mid, kind, None);
+    }
+    let released = host
+        .gate(mid)
+        .map(|gate| gate.persisted(delta.appends, delta.unsynced_after))
+        .unwrap_or_default();
+    for effect in released {
+        execute(host, mid, effect);
+    }
+}
+
+/// Execute one effect the durability gate let through (or released).
+fn execute<H: EffectHost + ?Sized>(host: &mut H, mid: Mid, effect: Effect) {
+    match effect {
+        Effect::Send { to, msg } => {
+            let kind = host.metrics().on_send(to, &msg);
+            host.trace(mid, kind, None);
+            host.send(mid, to, msg);
+        }
+        Effect::SetTimer { after, timer } => host.set_timer(mid, after, timer),
+        Effect::TxnResult { req_id, aid, outcome } => host.result(mid, req_id, aid, outcome),
+        Effect::Persist(event) => {
+            if let Some(delta) = host.persist(mid, &event) {
+                persisted(host, mid, delta);
+            }
+        }
+        Effect::Observe(obs) => {
+            if let Some((kind, vs)) = host.metrics().on_observation(&obs) {
+                host.trace(mid, kind, vs);
+            }
+            host.observe(mid, obs);
+        }
     }
 }
 

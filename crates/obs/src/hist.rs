@@ -4,8 +4,10 @@
 //! linear sub-buckets. Values below 32 land in dedicated exact slots;
 //! a value in range `b ≥ 1` (covering `[32·2^(b-1), 32·2^b)`) is
 //! bucketed with relative error below `1/32`. Recording is a single
-//! array increment — no allocation, ever — so the hot path can afford
-//! one per committed transaction.
+//! array increment, so the hot path can afford one per committed
+//! transaction. The 16 KiB slot array is allocated by the first
+//! `record`: an empty histogram (and a [`Metrics`](crate::Metrics)
+//! full of them) stays small to clone and to keep on a stack.
 
 /// Number of power-of-two ranges.
 const RANGES: usize = 64;
@@ -23,9 +25,10 @@ const SLOTS: usize = RANGES * SUB;
 /// percentiles report the upper bound of the containing sub-bucket
 /// (exact below 32, off by at most 1 below 128, relative error below
 /// `1/32` beyond that).
-#[derive(Clone, PartialEq, Eq)]
+#[derive(Clone)]
 pub struct Histogram {
-    counts: [u64; SLOTS],
+    /// `SLOTS` bucket counts, or empty until the first sample.
+    counts: Box<[u64]>,
     count: u64,
     sum: u64,
     min: u64,
@@ -34,9 +37,21 @@ pub struct Histogram {
 
 impl Default for Histogram {
     fn default() -> Self {
-        Histogram { counts: [0; SLOTS], count: 0, sum: 0, min: u64::MAX, max: 0 }
+        Histogram { counts: Box::default(), count: 0, sum: 0, min: u64::MAX, max: 0 }
     }
 }
+
+impl PartialEq for Histogram {
+    /// Equal sample summaries and slots; an array not yet allocated
+    /// reads as all zeros.
+    fn eq(&self, other: &Self) -> bool {
+        let slot = |h: &Histogram, i: usize| h.counts.get(i).copied().unwrap_or(0);
+        (self.count, self.sum, self.min, self.max) == (other.count, other.sum, other.min, other.max)
+            && (0..SLOTS).all(|i| slot(self, i) == slot(other, i))
+    }
+}
+
+impl Eq for Histogram {}
 
 impl std::fmt::Debug for Histogram {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
@@ -80,8 +95,11 @@ impl Histogram {
         ((SUB as u64 + sub) << (range - 1)) + (width - 1)
     }
 
-    /// Record one sample. Zero allocation.
+    /// Record one sample. Allocates only the first time.
     pub fn record(&mut self, value: u64) {
+        if self.counts.is_empty() {
+            self.counts = vec![0; SLOTS].into_boxed_slice();
+        }
         self.counts[Self::slot(value)] += 1;
         self.count += 1;
         self.sum = self.sum.saturating_add(value);
@@ -163,10 +181,13 @@ impl Histogram {
     /// exact extremes of a window are not recoverable from snapshots.
     pub fn since(&self, baseline: &Histogram) -> Histogram {
         let mut out = Histogram::new();
-        for ((o, &a), &b) in
-            out.counts.iter_mut().zip(self.counts.iter()).zip(baseline.counts.iter())
-        {
-            *o = a.saturating_sub(b);
+        if !self.counts.is_empty() {
+            out.counts = self
+                .counts
+                .iter()
+                .enumerate()
+                .map(|(i, &a)| a.saturating_sub(baseline.counts.get(i).copied().unwrap_or(0)))
+                .collect();
         }
         out.count = self.count.saturating_sub(baseline.count);
         out.sum = self.sum.saturating_sub(baseline.sum);
@@ -264,6 +285,23 @@ mod tests {
         assert_eq!(delta.count(), 2);
         assert_eq!(delta.sum(), 80);
         assert_eq!(delta.mean(), Some(40.0));
+    }
+
+    #[test]
+    fn slots_are_allocated_by_the_first_sample() {
+        // Metrics holds five histograms and is cloned by value on every
+        // read; an inline slot array made each copy 82 KB.
+        assert!(std::mem::size_of::<Histogram>() <= 64);
+        assert!(std::mem::size_of::<crate::Metrics>() <= 1024);
+        let empty = Histogram::new();
+        assert!(empty.counts.is_empty());
+        let mut h = empty.clone();
+        h.record(7);
+        assert_eq!(h.counts.len(), SLOTS);
+        let delta = h.since(&empty);
+        assert_eq!((delta.count(), delta.percentile(0.5)), (1, Some(7)));
+        assert_eq!(empty.since(&empty), Histogram::new());
+        assert_ne!(h, empty);
     }
 
     #[test]

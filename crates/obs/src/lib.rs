@@ -16,10 +16,12 @@
 //! - The accounting hooks ([`Metrics::on_send`], `on_recv`,
 //!   `on_timer`, `on_persist`, `on_sync`, `on_observation`, in
 //!   [`account`]): the single place where effects, deliveries and
-//!   observations become counters and trace kinds. Both harnesses call
-//!   them, so their effect loops are pure I/O dispatch.
-//! - [`Histogram`]: fixed 64 × 32 log-bucketed latency histogram,
-//!   zero allocation on record, exact mean, ceil nearest-rank
+//!   observations become counters and trace kinds; and the one effect
+//!   dispatch both harnesses run ([`account::dispatch`]: admit through
+//!   the durability gate, account, hand to the harness's
+//!   [`account::EffectHost`]), so each harness supplies only I/O.
+//! - [`Histogram`]: fixed 64 × 32 log-bucketed latency histogram, one
+//!   allocation at the first record, exact mean, ceil nearest-rank
 //!   percentiles.
 //! - [`Metrics`]: the counter set both harnesses report (moved here
 //!   from `vsr-sim` so the runtime can share it).

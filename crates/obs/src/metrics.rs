@@ -113,7 +113,7 @@ pub struct Metrics {
     /// (drop-oldest overflow policy).
     pub net_queue_drops: u64,
     /// Read/write deadline expiries on peer sockets (gray-slow peers
-    /// degrade to timeouts instead of wedging the cohort thread).
+    /// degrade to timeouts instead of wedging the runtime's host).
     pub net_deadline_hits: u64,
     /// In-process mail *refused* by a bounded mailbox full of critical
     /// entries (lost-new, vs `mailbox_drops`' lost-old evictions).

@@ -1,14 +1,19 @@
 //! # Threaded live runtime
 //!
 //! Runs the same sans-I/O [`Cohort`](vsr_core::cohort::Cohort#) state
-//! machines as the simulator, but on real threads with real clocks:
-//! each cohort owns a thread, messages land in bounded drop-oldest
-//! mailboxes (vsr-net's [`BoundedQueue`] — the same backpressure policy
-//! the TCP transport uses), and timers run on a per-thread timer wheel
-//! (1 tick = 1 millisecond).
+//! machines as the simulator, but on real threads with real clocks. One
+//! host thread runs all of a cluster's cohorts: a message between them
+//! is a push onto the receiver's inbox, with no lock and no thread
+//! wake, and each cohort's timers sit on its own timer heap (1 tick = 1
+//! millisecond). Effects go through the same dispatch as the
+//! simulator's ([`vsr_obs::account::dispatch`]). Submitters, group-commit
+//! flushers and transport readers stay threads of their own; what they
+//! bring (requests, fsync completions, frames) enters the host through
+//! one bounded drop-oldest queue (vsr-net's [`BoundedQueue`], the same
+//! backpressure policy the TCP transport uses).
 //!
-//! By default messages hop between mailboxes in-process. With
-//! [`ClusterBuilder::networked`] the router hands every inter-cohort
+//! By default messages hop between inboxes in-process. With
+//! [`ClusterBuilder::networked`] the host hands every inter-cohort
 //! message to a vsr-net [`Endpoint`] instead, and it travels over a
 //! real TCP connection — same cohorts, same effects, real sockets.
 //!
@@ -34,22 +39,25 @@
 #![warn(missing_docs)]
 
 use crossbeam::channel::{bounded, Receiver, Sender};
-use parking_lot::{Mutex, RwLock};
-use std::collections::{BTreeMap, BinaryHeap};
+use parking_lot::Mutex;
+use std::collections::{BTreeMap, BTreeSet, BinaryHeap, VecDeque};
+use std::ops::Bound::{Excluded, Unbounded};
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 use vsr_core::cohort::{CallOp, Cohort, CohortParams, Effect, Observation, Timer, TxnOutcome};
 use vsr_core::config::CohortConfig;
-use vsr_core::durable::{DurabilityGate, RecoveredState};
+use vsr_core::durable::{DurabilityGate, DurableEvent, RecoveredState};
 use vsr_core::messages::Message;
 use vsr_core::module::Module;
-use vsr_core::types::{GroupId, Mid, ViewId, Viewstamp};
+use vsr_core::types::{Aid, GroupId, Mid, ViewId, Viewstamp};
 use vsr_core::view::Configuration;
 use vsr_net::socket::DeliverFn;
 use vsr_net::{
     AddrMap, BoundedQueue, DropCounters, Endpoint, NetConfig, NetCounters, NetMetrics, RecvError,
 };
+use vsr_obs::account::{self, EffectHost};
 use vsr_obs::{Metrics, PersistDelta, SharedRecorder, TraceEvent, TraceKind};
 use vsr_store::{FileStore, FsyncPolicy, SimDisk, Store, StoreError, StoreMetrics};
 
@@ -57,11 +65,12 @@ use vsr_store::{FileStore, FsyncPolicy, SimDisk, Store, StoreError, StoreMetrics
 /// module).
 pub type SharedFactory = Arc<dyn Fn() -> Box<dyn Module> + Send + Sync>;
 
-/// A cohort's stable store, shared between its thread (which executes
-/// `Effect::Persist`) and the cluster (which replays it at recovery).
+/// A cohort's stable store, shared between the host (which executes
+/// `Effect::Persist`), its flusher thread and the cluster (which replays
+/// it at recovery).
 type SharedStore = Arc<Mutex<Box<dyn Store + Send>>>;
 
-/// Which stable-storage backend cohort threads write to.
+/// Which stable-storage backend the cohorts write to.
 #[derive(Debug, Clone, Default)]
 enum Durability {
     /// The paper's no-disk design: persist effects are dropped and only
@@ -110,80 +119,436 @@ impl std::fmt::Display for SubmitError {
 
 impl std::error::Error for SubmitError {}
 
-enum Inbox {
-    Msg {
-        from: Mid,
-        msg: Message,
-    },
-    Request {
-        req_id: u64,
-        ops: Vec<CallOp>,
-        reply: Sender<TxnOutcome>,
-    },
-    /// The flusher thread's covering fsync returned: every record
-    /// appended up to the `upto` watermark is durable and the effects
-    /// parked behind them may go out. `covered` is the frame count the
-    /// sync retired, for the group-commit histograms; zero means an
-    /// inline sync superseded the retirement (the frames are durable
-    /// and already accounted, so this completion only advances the
-    /// watermark).
-    Synced {
-        upto: u64,
-        covered: u64,
-    },
-    /// The covering fsync failed; fatal to the cohort (nothing it was
-    /// meant to cover may be acknowledged).
-    SyncFailed {
-        err: StoreError,
-    },
+/// Work for the host thread.
+enum HostMsg {
+    /// An entry for a cohort's next pass. An entry for a cohort the
+    /// host no longer runs (crashed, or stopped by a store failure) is
+    /// dropped, as the simulator drops a crashed cohort's mail.
+    To(Mid, Inbox),
+    /// Work the cluster runs on the host thread between turns: adding,
+    /// crashing and inspecting cohorts (see [`Cluster::on_host`]).
+    Call(Box<dyn FnOnce(&mut Host) + Send>),
+    /// Stop every cohort and end the host thread.
     Stop,
 }
 
-/// A cohort's bounded inbox. `Msg` entries are droppable (the network
-/// may drop them anyway); `Request` and `Stop` are critical.
-type Mailbox = Arc<BoundedQueue<Inbox>>;
-
-/// Routes messages between cohort threads; absent entries are crashed
-/// cohorts (their mail is dropped, like the simulator's).
-///
-/// In networked mode every inter-cohort message leaves through the
-/// *sender's* [`Endpoint`] and re-enters via
-/// [`deliver_local`](Router::deliver_local) on the receiver's reader
-/// thread — the in-process route map then only performs final delivery
-/// into the destination mailbox.
-struct Router {
-    routes: RwLock<BTreeMap<Mid, Mailbox>>,
-    endpoints: RwLock<BTreeMap<Mid, Arc<Endpoint>>>,
-    networked: bool,
+/// One entry of a cohort's inbox: what a handler pass consumes.
+enum Inbox {
+    /// Mail from another cohort: pushed by the host itself, or by a
+    /// transport reader in networked clusters.
+    Msg { from: Mid, msg: Message },
+    /// A client transaction from [`Cluster::submit`].
+    Request { req_id: u64, ops: Vec<CallOp>, reply: Sender<TxnOutcome> },
+    /// The flusher's covering fsync returned: every record appended up
+    /// to the `upto` watermark is durable and the effects parked behind
+    /// them may go out. `covered` is the frame count the sync retired,
+    /// for the group-commit histograms; zero means an inline sync
+    /// superseded the retirement (the frames are durable and already
+    /// accounted, so this completion only advances the watermark).
+    Synced { upto: u64, covered: u64 },
+    /// The covering fsync failed; fatal to the cohort (nothing it was
+    /// meant to cover may be acknowledged).
+    SyncFailed,
 }
 
-impl Router {
-    fn new(networked: bool) -> Self {
-        Router { routes: RwLock::default(), endpoints: RwLock::default(), networked }
+/// A cohort run by the host, with everything its effects touch.
+struct Slot {
+    cohort: Cohort,
+    /// Mail waiting for the cohort's next pass, bounded like a
+    /// [`BoundedQueue`]: overflow evicts the oldest droppable entry.
+    inbox: VecDeque<Inbox>,
+    timers: BinaryHeap<TimerEntry>,
+    /// Reply channels of in-flight requests, with their submission
+    /// instants for the leased-read latency histogram (microsecond
+    /// resolution; the coarse millisecond tick would read mostly zero).
+    replies: BTreeMap<u64, (Sender<TxnOutcome>, Instant)>,
+    store: Option<SharedStore>,
+    /// Group commit (`FsyncPolicy::Group` stores only): the gate that
+    /// parks effects asserting durability until their covering fsync,
+    /// and the flusher's wake token, needed only on the clean → dirty
+    /// transition. Dropping the sender stops the flusher.
+    group: Option<(DurabilityGate, Sender<()>)>,
+    /// The flusher thread, joined when the slot is dropped.
+    flusher: Option<JoinHandle<()>>,
+    /// The cohort's transport endpoint (networked clusters only).
+    endpoint: Option<Arc<Endpoint>>,
+    /// A WAL write or fsync failed; the cohort stops instead of acking
+    /// state that may not be durable, until [`Cluster::crash`] and
+    /// [`Cluster::recover`] restart it from the synced prefix.
+    failed: bool,
+}
+
+/// Dropping a slot (a crash, or the host's end) stops its flusher and
+/// waits out an fsync it still has in flight.
+impl Drop for Slot {
+    fn drop(&mut self) {
+        self.group = None;
+        if let Some(flusher) = self.flusher.take() {
+            flusher.join().ok(); // a panicked flusher has nothing to clean up
+        }
+    }
+}
+
+/// How many inbox entries one handler pass may drain before timers and
+/// the group-commit flush get a turn. Bounds the latency a saturating
+/// producer can impose on timer fires.
+const MAX_PASS_ITEMS: usize = 128;
+
+/// The loop that runs every cohort of a cluster on one thread. A send
+/// between co-hosted cohorts is a push onto the receiver's inbox, with
+/// no lock and no wake; only submitters, flushers and transport readers
+/// cross threads, through the host's queue.
+///
+/// Each turn drains the queue into the inboxes, then gives every cohort
+/// in turn one handler pass (at most [`MAX_PASS_ITEMS`] entries between
+/// `begin_pass` and `end_pass`, so a primary sends one coalesced
+/// `BufferSend` per backup per pass), fires its due timers, wakes its
+/// flusher if the pass left the log dirty.
+struct Host {
+    slots: BTreeMap<Mid, Slot>,
+    queue: HostQueue,
+    /// Per-inbox bound on droppable entries.
+    capacity: usize,
+    epoch: Instant,
+    timer_seq: u64,
+    networked: bool,
+    /// The host's counters, written without a lock and copied out on
+    /// request by [`Cluster::metrics`].
+    metrics: Metrics,
+    observations: Option<Arc<BoundedQueue<(Mid, Observation)>>>,
+    progress: Arc<Progress>,
+    recorder: Option<SharedRecorder>,
+}
+
+/// The host's input queue, shared with submitters, flushers and
+/// transport readers.
+type HostQueue = Arc<BoundedQueue<HostMsg>>;
+
+impl Host {
+    fn now_ticks(&self) -> u64 {
+        self.epoch.elapsed().as_millis() as u64
     }
 
-    fn send(&self, from: Mid, to: Mid, msg: Message) {
+    fn run(mut self) {
+        let queue = Arc::clone(&self.queue);
+        loop {
+            // Wait for work unless an inbox still holds some, at most
+            // until the earliest timer is due.
+            let timeout = if self.slots.values().any(|s| !s.inbox.is_empty()) {
+                Duration::ZERO
+            } else {
+                self.slots
+                    .values()
+                    .filter_map(|s| s.timers.peek())
+                    .map(|t| t.due.saturating_duration_since(Instant::now()))
+                    .min()
+                    .unwrap_or(Duration::from_millis(50))
+            };
+            let first = match queue.recv_timeout(timeout) {
+                Ok(msg) => Some(msg),
+                Err(RecvError::TimedOut) => None,
+                Err(RecvError::Closed) => return,
+            };
+            // What is queued joins this turn, up to a bound, so the
+            // timers below still get their turn under a saturating
+            // producer.
+            let queued = std::iter::from_fn(|| queue.try_recv());
+            for msg in
+                first.into_iter().chain(queued).take(MAX_PASS_ITEMS * self.slots.len().max(1))
+            {
+                match msg {
+                    HostMsg::To(mid, item) => self.post(mid, item),
+                    HostMsg::Call(f) => f(&mut self),
+                    HostMsg::Stop => return,
+                }
+            }
+            let mut next = self.slots.keys().next().copied();
+            while let Some(mid) = next {
+                self.turn(mid);
+                next = self.slots.range((Excluded(mid), Unbounded)).next().map(|(&m, _)| m);
+            }
+        }
+    }
+
+    /// Queue an entry for `to`'s next pass (dropped if the host does
+    /// not run `to`). Mail is droppable (the network may drop it anyway,
+    /// and a retry timer covers it); requests and completions are not.
+    /// A full inbox evicts its oldest mail (`mailbox_drops`) or, holding
+    /// none, refuses new mail (`mailbox_rejections`): the policy of every
+    /// [`BoundedQueue`].
+    fn post(&mut self, to: Mid, item: Inbox) {
+        let Some(slot) = self.slots.get_mut(&to) else { return };
+        if slot.failed {
+            return;
+        }
+        let mail = |item: &Inbox| matches!(item, Inbox::Msg { .. });
+        if mail(&item) && slot.inbox.len() >= self.capacity {
+            match slot.inbox.iter().position(mail) {
+                Some(oldest) => {
+                    slot.inbox.remove(oldest);
+                    self.metrics.mailbox_drops += 1;
+                }
+                None => {
+                    self.metrics.mailbox_rejections += 1;
+                    return;
+                }
+            }
+        }
+        slot.inbox.push_back(item);
+    }
+
+    /// Start running a cohort: account the start-up writes its spawning
+    /// thread already made, then dispatch the rest of its start effects.
+    fn add(&mut self, slot: Slot, written: Vec<PersistDelta>, effects: Vec<Effect>) {
+        let mid = slot.cohort.mid();
+        self.slots.insert(mid, slot);
+        for delta in written {
+            account::persisted(self, mid, delta);
+        }
+        account::dispatch(self, mid, effects);
+    }
+
+    /// One cohort's turn: a handler pass over its inbox, its due
+    /// timers and the group-commit wake.
+    fn turn(&mut self, mid: Mid) {
+        self.pass(mid);
+        let now = Instant::now();
+        loop {
+            let tick = self.now_ticks();
+            let Some(slot) = self.slots.get_mut(&mid) else { return };
+            if slot.failed || slot.timers.peek().is_none_or(|t| t.due > now) {
+                break;
+            }
+            let timer = slot.timers.pop().expect("invariant: peek returned Some").timer;
+            let effects = slot.cohort.on_timer(tick, timer.clone());
+            if let Some(kind) = self.metrics.on_timer(&timer, &effects) {
+                self.trace(mid, kind, None);
+            }
+            account::dispatch(self, mid, effects);
+        }
+        if let Some((gate, wake)) = self.slots.get(&mid).and_then(|s| s.group.as_ref()) {
+            if gate.is_dirty() {
+                // A full channel means a wake is already pending; a
+                // closed one, that the flusher died and its SyncFailed
+                // is queued.
+                wake.try_send(()).ok();
+            }
+        }
+    }
+
+    /// One handler pass: drain the waiting inbox batch under a single
+    /// deferred buffer flush, so one coalesced `BufferSend` per backup —
+    /// and, with group commit, one covering fsync — serves every request
+    /// and message the pass admitted.
+    fn pass(&mut self, mid: Mid) {
+        let Some(slot) = self.slots.get_mut(&mid) else { return };
+        if slot.inbox.is_empty() || slot.failed {
+            return;
+        }
+        slot.cohort.begin_pass();
+        for _ in 0..MAX_PASS_ITEMS {
+            let now = self.now_ticks();
+            // A store failure mid-pass empties the inbox.
+            let Some(slot) = self.slots.get_mut(&mid) else { return };
+            let Some(item) = slot.inbox.pop_front() else { break };
+            match item {
+                Inbox::Msg { from, msg } => {
+                    let recv = self.metrics.on_recv(from, &msg);
+                    let effects = slot.cohort.on_message(now, from, msg);
+                    self.trace(mid, recv, None);
+                    account::dispatch(self, mid, effects);
+                }
+                Inbox::Request { req_id, ops, reply } => {
+                    slot.replies.insert(req_id, (reply, Instant::now()));
+                    let effects = slot.cohort.begin_transaction(now, req_id, ops);
+                    // The pipelining depth clients actually reach:
+                    // sampled as each request joins the in-flight set.
+                    self.metrics.inflight_txns.record(slot.cohort.inflight_txns() as u64);
+                    account::dispatch(self, mid, effects);
+                }
+                Inbox::Synced { upto, covered } => account::synced(self, mid, upto, covered),
+                Inbox::SyncFailed => self.fatal_store_error(mid),
+            }
+        }
+        let Some(slot) = self.slots.get_mut(&mid) else { return };
+        let end = slot.cohort.end_pass();
+        account::dispatch(self, mid, end);
+    }
+
+    /// A WAL append or fsync failed. Nothing the failed operation was
+    /// meant to cover may become visible: the parked sends and replies
+    /// are dropped (submitters try another member), and the cohort
+    /// stops — the runtime analogue of the process crash the paper
+    /// assumes on stable-storage failure. Its co-hosted peers run on.
+    fn fatal_store_error(&mut self, mid: Mid) {
+        if let Some(slot) = self.slots.get_mut(&mid) {
+            slot.group = None;
+            slot.replies.clear();
+            slot.inbox.clear();
+            slot.failed = true;
+        }
+    }
+}
+
+/// The host ends by dropping its slots; closing and draining the queue
+/// then drops every waiting reply channel, so nobody blocks on a host
+/// that is gone, even one that panicked.
+impl Drop for Host {
+    fn drop(&mut self) {
+        self.queue.close();
+        while self.queue.try_recv().is_some() {}
+    }
+}
+
+/// The runtime's I/O for the shared effect dispatch: inbox pushes or
+/// transport sends, timer heaps, reply channels and stores.
+impl EffectHost for Host {
+    fn metrics(&mut self) -> &mut Metrics {
+        &mut self.metrics
+    }
+
+    fn trace(&mut self, mid: Mid, kind: TraceKind, vs: Option<Viewstamp>) {
+        let Some(recorder) = &self.recorder else { return };
+        let vs = vs.or_else(|| self.slots.get(&mid).and_then(|s| s.cohort.history().latest()));
+        recorder.record(TraceEvent { tick: self.now_ticks(), cohort: mid, vs, kind });
+    }
+
+    fn gate(&mut self, mid: Mid) -> Option<&mut DurabilityGate> {
+        self.slots.get_mut(&mid)?.group.as_mut().map(|(gate, _)| gate)
+    }
+
+    fn stopped(&self, mid: Mid) -> bool {
+        self.slots.get(&mid).is_none_or(|slot| slot.failed)
+    }
+
+    fn send(&mut self, from: Mid, to: Mid, msg: Message) {
         if self.networked && to != from {
-            // A crashed sender's endpoint is already gone; its mail
-            // vanishes, exactly like the network's would.
-            if let Some(ep) = self.endpoints.read().get(&from) {
-                ep.send(to, &msg);
+            if let Some(endpoint) = self.slots.get(&from).and_then(|s| s.endpoint.as_ref()) {
+                endpoint.send(to, &msg);
             }
             return;
         }
-        self.deliver_local(from, to, msg);
+        self.post(to, Inbox::Msg { from, msg });
     }
 
-    /// Final hop: push into the destination mailbox (drop-oldest on
-    /// overflow; a missing route is a crashed cohort and drops mail).
-    fn deliver_local(&self, from: Mid, to: Mid, msg: Message) {
-        if let Some(mailbox) = self.routes.read().get(&to) {
-            mailbox.push(Inbox::Msg { from, msg });
+    fn set_timer(&mut self, mid: Mid, after: u64, timer: Timer) {
+        let Some(slot) = self.slots.get_mut(&mid) else { return };
+        self.timer_seq += 1;
+        let due = Instant::now() + Duration::from_millis(after);
+        slot.timers.push(TimerEntry { due, seq: self.timer_seq, timer });
+    }
+
+    fn result(&mut self, mid: Mid, req_id: u64, _aid: Option<Aid>, outcome: TxnOutcome) {
+        if let Some((reply, _)) = self.slots.get_mut(&mid).and_then(|s| s.replies.remove(&req_id)) {
+            // The submitter may have timed out and dropped its receiver.
+            reply.send(outcome).ok();
+        }
+    }
+
+    fn persist(&mut self, mid: Mid, event: &DurableEvent) -> Option<PersistDelta> {
+        let written = write(self.slots.get(&mid)?.store.as_ref()?, event);
+        written.map_err(|_| self.fatal_store_error(mid)).ok()
+    }
+
+    fn observe(&mut self, mid: Mid, obs: Observation) {
+        if let Observation::LeasedRead { req_id, .. } = &obs {
+            let t0 = self.slots.get(&mid).and_then(|s| s.replies.get(req_id)).map(|r| r.1);
+            if let Some(t0) = t0 {
+                self.metrics.lease_read_ticks.record(t0.elapsed().as_micros() as u64);
+            }
+        }
+        if matches!(obs, Observation::ViewChanged { .. }) {
+            // Wake submitters stuck waiting for a primary: the view
+            // just (re)formed.
+            self.progress.bump();
+        }
+        if let Some(tx) = &self.observations {
+            // Best-effort telemetry: a full drain evicts its oldest
+            // entry (counted as a mailbox drop) and never stalls the
+            // host.
+            tx.push((mid, obs));
         }
     }
 }
 
-/// View-progress signal shared between cohort threads and submitters.
+/// Write `event` to a cohort's store and say what the write did.
+fn write(store: &SharedStore, event: &DurableEvent) -> Result<PersistDelta, StoreError> {
+    let mut store = store.lock();
+    let (before, unsynced_before) = (store.metrics(), store.unsynced_records());
+    store.persist(event)?;
+    let d = store.metrics().since(&before);
+    Ok(PersistDelta {
+        appends: d.appends,
+        fsyncs: d.fsyncs,
+        bytes_written: d.bytes_written,
+        checkpoints: d.checkpoints,
+        unsynced_before,
+        unsynced_after: store.unsynced_records(),
+    })
+}
+
+/// Body of a cohort's flusher thread: wait for a wake token, then
+/// chain covering fsyncs until the log is clean. Each cycle detaches a
+/// [`vsr_store::SyncHandle`] under the store lock (with the covered
+/// frame count and append watermark), fsyncs *outside* the lock while
+/// the host keeps appending the next batch, retires the covered
+/// frames, and posts the completion to the host as a critical queue
+/// entry (never evicted by backpressure). When the store cannot detach
+/// a handle ([`SimDisk`], whose sync is a watermark bump, or a failed
+/// descriptor duplicate), the cycle syncs inline under the lock instead.
+/// A failed fsync is posted as fatal and stops the thread: nothing it
+/// was meant to cover may be acknowledged.
+///
+/// Cadence: the chain is self-driving — after each fsync it re-probes
+/// immediately and only sleeps on the wake channel once the log is
+/// clean, so consecutive covering fsyncs need no host roundtrip and
+/// each one covers whatever accumulated while the previous was on the
+/// device. Alternatives measured worse (DESIGN §15): waiting for a
+/// fresh pass-end wake between syncs idles the disk for a full
+/// roundtrip per batch, and sleeping to accumulate bigger batches
+/// costs more than the fsync it tries to amortize on kernels whose
+/// minimum real sleep exceeds the fsync latency.
+fn flusher_loop(mid: Mid, store: &SharedStore, queue: &HostQueue, wake: &Receiver<()>) {
+    while wake.recv().is_ok() {
+        loop {
+            let job = {
+                let mut store = store.lock();
+                let covered = store.unsynced_records();
+                if covered == 0 {
+                    break;
+                }
+                let upto = store.metrics().appends;
+                match store.sync_handle() {
+                    Some(handle) => Ok((Some(handle), covered, upto)),
+                    // The flusher is the only flush path, so a store
+                    // without a handle syncs here, under the lock.
+                    None => store.flush().map(|()| (None, covered, upto)),
+                }
+            };
+            let synced = job.and_then(|(handle, covered, upto)| match handle {
+                // Inline sync: the lock was held, nothing raced.
+                None => Ok((covered, upto)),
+                // An inline sync that ran while this fsync was in
+                // flight supersedes the retirement: the batch is
+                // durable either way, but this completion gets no
+                // group-commit credit (covered = 0).
+                Some(handle) => handle
+                    .sync()
+                    .map(|()| (if store.lock().note_synced(covered) { covered } else { 0 }, upto)),
+            });
+            let item = match synced {
+                Ok((covered, upto)) => Inbox::Synced { upto, covered },
+                Err(_) => Inbox::SyncFailed,
+            };
+            let failed = matches!(item, Inbox::SyncFailed);
+            if !queue.push_critical(HostMsg::To(mid, item)) || failed {
+                return; // the host is gone, or the cohort now stops
+            }
+        }
+    }
+}
+
+/// View-progress signal shared between the host and submitters.
 ///
 /// Every `Observation::ViewChanged` bumps the epoch and wakes everyone
 /// blocked in [`wait_past`](Progress::wait_past); a submitter that found
@@ -221,6 +586,10 @@ impl Progress {
     }
 }
 
+/// An armed timer. A cohort's timers sit in a binary heap of these,
+/// contiguous: at `write_mem`'s rate about 16k are pending (mostly
+/// retry and force checks that will find nothing to do), and a B-tree
+/// map of the same timers held about half as much again.
 struct TimerEntry {
     due: Instant,
     seq: u64,
@@ -244,396 +613,6 @@ impl PartialOrd for TimerEntry {
     fn partial_cmp(&self, other: &Self) -> Option<std::cmp::Ordering> {
         Some(self.cmp(other))
     }
-}
-
-struct CohortThread {
-    cohort: Cohort,
-    rx: Mailbox,
-    router: Arc<Router>,
-    epoch: Instant,
-    timers: BinaryHeap<TimerEntry>,
-    timer_seq: u64,
-    replies: BTreeMap<u64, Sender<TxnOutcome>>,
-    /// Wall-clock submission instants of in-flight requests, for the
-    /// leased-read latency histogram (microsecond resolution; the
-    /// coarse `now_ticks` millisecond clock would read mostly zero).
-    req_t0: BTreeMap<u64, Instant>,
-    stable: Arc<Mutex<ViewId>>,
-    store: Option<SharedStore>,
-    observations: Option<Arc<BoundedQueue<(Mid, Observation)>>>,
-    metrics: Arc<Mutex<Metrics>>,
-    progress: Arc<Progress>,
-    recorder: Option<SharedRecorder>,
-    /// Group commit (`FsyncPolicy::Group` stores only): the gate that
-    /// parks effects asserting durability until their covering fsync,
-    /// and the wake token for the cohort's flusher thread. The flusher
-    /// loops covering fsyncs back-to-back until the log is clean, so a
-    /// token is only needed on the clean → dirty transition; a full
-    /// channel means a wake is already pending. Dropping the sender
-    /// (cohort thread exit, or a fatal store error) stops the flusher.
-    group: Option<(DurabilityGate, Sender<()>)>,
-    /// A WAL write or fsync failed; the thread stops instead of acking
-    /// state that may not be durable.
-    store_failed: bool,
-}
-
-/// How many mailbox entries one handler pass may drain before timers
-/// and the group-commit flush get a turn. Bounds the latency a
-/// saturating producer can impose on timer fires.
-const MAX_PASS_ITEMS: usize = 128;
-
-impl CohortThread {
-    fn now_ticks(&self) -> u64 {
-        self.epoch.elapsed().as_millis() as u64
-    }
-
-    /// Record a trace event stamped with `vs` when the observation
-    /// carries its own viewstamp, else with this cohort's current one
-    /// (no-op unless the cluster enabled tracing).
-    fn trace(&mut self, kind: TraceKind, vs: Option<Viewstamp>) {
-        let Some(recorder) = &self.recorder else { return };
-        let vs = vs.or_else(|| self.cohort.history().latest());
-        let tick = self.epoch.elapsed().as_millis() as u64;
-        recorder.record(TraceEvent { tick, cohort: self.cohort.mid(), vs, kind });
-    }
-
-    fn run(mut self) {
-        let mid = self.cohort.mid();
-        let now = self.now_ticks();
-        let start_effects = self.cohort.start(now);
-        self.apply(mid, start_effects);
-        'main: loop {
-            let timeout = self
-                .timers
-                .peek()
-                .map(|t| t.due.saturating_duration_since(Instant::now()))
-                .unwrap_or(Duration::from_millis(50));
-            let mut next = match self.rx.recv_timeout(timeout) {
-                Ok(item) => Some(item),
-                Err(RecvError::TimedOut) => None,
-                Err(RecvError::Closed) => break,
-            };
-            if next.is_some() {
-                // One handler pass: drain the waiting mailbox batch
-                // under a single deferred buffer flush, so one
-                // coalesced BufferSend per backup — and, with group
-                // commit, one covering fsync — serves every request
-                // and message the pass admitted.
-                self.cohort.begin_pass();
-                let mut drained = 0;
-                while let Some(item) = next.take() {
-                    match item {
-                        Inbox::Msg { from, msg } => {
-                            let now = self.now_ticks();
-                            let recv = self.metrics.lock().on_recv(from, &msg);
-                            let effects = self.cohort.on_message(now, from, msg);
-                            self.trace(recv, None);
-                            self.apply(mid, effects);
-                        }
-                        Inbox::Request { req_id, ops, reply } => {
-                            self.replies.insert(req_id, reply);
-                            self.req_t0.insert(req_id, Instant::now());
-                            let now = self.now_ticks();
-                            let effects = self.cohort.begin_transaction(now, req_id, ops);
-                            // The pipelining depth clients actually
-                            // reach: sampled as each request joins the
-                            // in-flight set.
-                            self.metrics
-                                .lock()
-                                .inflight_txns
-                                .record(self.cohort.inflight_txns() as u64);
-                            self.apply(mid, effects);
-                        }
-                        Inbox::Synced { upto, covered } => {
-                            self.on_sync_complete(mid, upto, covered);
-                        }
-                        Inbox::SyncFailed { err } => {
-                            self.fatal_store_error(err);
-                        }
-                        Inbox::Stop => {
-                            let end = self.cohort.end_pass();
-                            self.apply(mid, end);
-                            break 'main;
-                        }
-                    }
-                    drained += 1;
-                    if drained < MAX_PASS_ITEMS {
-                        next = self.rx.try_recv();
-                    }
-                }
-                let end = self.cohort.end_pass();
-                self.apply(mid, end);
-            }
-            // Fire all due timers.
-            let now_instant = Instant::now();
-            while self.timers.peek().is_some_and(|t| t.due <= now_instant) {
-                let entry = self.timers.pop().expect("invariant: peek returned Some");
-                let now = self.now_ticks();
-                let effects = self.cohort.on_timer(now, entry.timer.clone());
-                let fired = self.metrics.lock().on_timer(&entry.timer, &effects);
-                if let Some(kind) = fired {
-                    self.trace(kind, None);
-                }
-                self.apply(mid, effects);
-            }
-            // Group commit: get the covering fsync going for
-            // everything this pass appended.
-            if let Some((gate, wake)) = &self.group {
-                if gate.is_dirty() {
-                    #[expect(
-                        clippy::let_underscore_untyped,
-                        clippy::let_underscore_must_use,
-                        reason = "a full channel means a wake is already pending; a closed one \
-                                  means the flusher died and its SyncFailed is in the mailbox"
-                    )]
-                    let _ = wake.try_send(());
-                }
-            }
-            if self.store_failed {
-                // The WAL is gone; stop acking and let the cluster
-                // crash/recover this cohort from the synced prefix.
-                break;
-            }
-            *self.stable.lock() = self.cohort.stable_viewid();
-        }
-    }
-
-    fn apply(&mut self, mid: Mid, effects: Vec<Effect>) {
-        for effect in effects {
-            if self.store_failed {
-                // A fatal store error already dropped the parked
-                // effects; nothing later may leak out either.
-                return;
-            }
-            let admitted = match &mut self.group {
-                Some((gate, _)) => gate.admit(effect),
-                None => Some(effect),
-            };
-            if let Some(effect) = admitted {
-                self.execute(mid, effect);
-            }
-        }
-    }
-
-    /// Execute one effect the durability gate let through (or released).
-    fn execute(&mut self, mid: Mid, effect: Effect) {
-        match effect {
-            Effect::Send { to, msg } => {
-                let sent = self.metrics.lock().on_send(to, &msg);
-                self.trace(sent, None);
-                self.router.send(mid, to, msg);
-            }
-            Effect::SetTimer { after, timer } => {
-                self.timer_seq += 1;
-                self.timers.push(TimerEntry {
-                    due: Instant::now() + Duration::from_millis(after),
-                    seq: self.timer_seq,
-                    timer,
-                });
-            }
-            Effect::TxnResult { req_id, outcome, .. } => {
-                self.req_t0.remove(&req_id);
-                if let Some(reply) = self.replies.remove(&req_id) {
-                    #[expect(
-                        clippy::let_underscore_untyped,
-                        clippy::let_underscore_must_use,
-                        reason = "the submitter may have timed out and dropped its receiver"
-                    )]
-                    let _ = reply.send(outcome);
-                }
-            }
-            Effect::Persist(event) => {
-                if let Some(store) = &self.store {
-                    let (result, d, unsynced_before, unsynced_after) = {
-                        let mut store = store.lock();
-                        let before = store.metrics();
-                        let pre = store.unsynced_records();
-                        let result = store.persist(&event);
-                        (result, store.metrics().since(&before), pre, store.unsynced_records())
-                    };
-                    if let Err(err) = result {
-                        self.fatal_store_error(err);
-                        return;
-                    }
-                    let delta = PersistDelta {
-                        appends: d.appends,
-                        fsyncs: d.fsyncs,
-                        bytes_written: d.bytes_written,
-                        checkpoints: d.checkpoints,
-                        unsynced_before,
-                        unsynced_after,
-                    };
-                    let appended = self.metrics.lock().on_persist(&delta);
-                    if let Some(kind) = appended {
-                        self.trace(kind, None);
-                    }
-                    if let Some((gate, _)) = &mut self.group {
-                        let released = gate.persisted(delta.appends, unsynced_after);
-                        for effect in released {
-                            self.execute(mid, effect);
-                        }
-                    }
-                }
-            }
-            Effect::Observe(obs) => {
-                let observed = {
-                    let mut m = self.metrics.lock();
-                    let observed = m.on_observation(&obs);
-                    if let Observation::LeasedRead { req_id, .. } = &obs {
-                        if let Some(t0) = self.req_t0.get(req_id) {
-                            m.lease_read_ticks.record(t0.elapsed().as_micros() as u64);
-                        }
-                    }
-                    observed
-                };
-                if let Some((kind, vs)) = observed {
-                    self.trace(kind, vs);
-                }
-                if matches!(obs, Observation::ViewChanged { .. }) {
-                    // Wake submitters stuck waiting for a primary:
-                    // the view just (re)formed.
-                    self.progress.bump();
-                }
-                if let Some(tx) = &self.observations {
-                    // Best-effort telemetry: a full drain evicts its
-                    // oldest entry (counted as a mailbox drop) and
-                    // never stalls the cohort.
-                    tx.push((mid, obs));
-                }
-            }
-        }
-    }
-
-    /// A flusher completion: the covering fsync for every record up to
-    /// the `upto` watermark succeeded (the flusher already retired the
-    /// frames in the store). Account the group commit and release the
-    /// parked prefix.
-    fn on_sync_complete(&mut self, mid: Mid, upto: u64, covered: u64) {
-        if self.store_failed {
-            return;
-        }
-        self.metrics.lock().on_sync(covered);
-        if let Some((gate, _)) = &mut self.group {
-            let released = gate.synced(upto);
-            for effect in released {
-                self.execute(mid, effect);
-            }
-        }
-    }
-
-    /// A WAL append or fsync failed. Nothing the failed operation was
-    /// meant to cover may become visible: the parked sends and replies
-    /// are dropped (submitters time out and try another member), and
-    /// the run loop stops — the runtime analogue of the process crash
-    /// the paper assumes on stable-storage failure.
-    /// [`Cluster::recover`] restarts the cohort from the synced WAL
-    /// prefix.
-    fn fatal_store_error(&mut self, _err: StoreError) {
-        self.group = None;
-        self.replies.clear();
-        self.req_t0.clear();
-        self.store_failed = true;
-    }
-}
-
-/// Body of a cohort's flusher thread: wait for a wake token, then
-/// chain covering fsyncs until the log is clean. Each cycle detaches a
-/// [`vsr_store::SyncHandle`] under the store lock (with the covered
-/// frame count and append watermark), fsyncs *outside* the lock while
-/// the cohort thread keeps appending the next batch, retires the
-/// covered frames, and posts the completion as a critical mailbox
-/// entry (never evicted by backpressure). When the store cannot detach
-/// a handle ([`SimDisk`], whose sync is a watermark bump, or a failed
-/// descriptor duplicate), the cycle syncs inline under the lock instead.
-/// A failed
-/// fsync is posted as fatal and stops the thread: nothing it was meant
-/// to cover may be acknowledged.
-///
-/// Cadence: the chain is self-driving — after each fsync it re-probes
-/// immediately and only sleeps on the wake channel once the log is
-/// clean, so consecutive covering fsyncs need no cohort roundtrip and
-/// each one covers whatever accumulated while the previous was on the
-/// device. Alternatives measured worse (DESIGN §15): waiting for a
-/// fresh pass-end wake between syncs idles the disk for a full
-/// roundtrip per batch, and sleeping to accumulate bigger batches
-/// costs more than the fsync it tries to amortize on kernels whose
-/// minimum real sleep exceeds the fsync latency.
-fn flusher_loop(store: &SharedStore, mailbox: &Mailbox, wake: &Receiver<()>) {
-    while wake.recv().is_ok() {
-        loop {
-            let job = {
-                let mut store = store.lock();
-                let covered = store.unsynced_records();
-                if covered == 0 {
-                    break;
-                }
-                let upto = store.metrics().appends;
-                match store.sync_handle() {
-                    Some(handle) => Ok((Some(handle), covered, upto)),
-                    // The flusher is the only flush path, so a store
-                    // without a handle syncs here, under the lock.
-                    None => store.flush().map(|()| (None, covered, upto)),
-                }
-            };
-            let (handle, covered, upto) = match job {
-                Ok(job) => job,
-                Err(err) => {
-                    #[expect(
-                        clippy::let_underscore_untyped,
-                        reason = "a closed mailbox means the cohort is already gone; there is \
-                                  nobody left to tell"
-                    )]
-                    let _ = mailbox.push_critical(Inbox::SyncFailed { err });
-                    return;
-                }
-            };
-            let covered = match handle {
-                // Inline sync: the lock was held, nothing raced.
-                None => covered,
-                Some(handle) => match handle.sync() {
-                    // An inline sync that ran while this fsync was in
-                    // flight supersedes the retirement: the batch is
-                    // durable either way, but this completion gets no
-                    // group-commit credit (covered = 0).
-                    Ok(()) => {
-                        if store.lock().note_synced(covered) {
-                            covered
-                        } else {
-                            0
-                        }
-                    }
-                    Err(err) => {
-                        #[expect(
-                            clippy::let_underscore_untyped,
-                            reason = "a closed mailbox means the cohort is already gone; there is \
-                                      nobody left to tell"
-                        )]
-                        let _ = mailbox.push_critical(Inbox::SyncFailed { err });
-                        return;
-                    }
-                },
-            };
-            if !mailbox.push_critical(Inbox::Synced { upto, covered }) {
-                return; // mailbox closed: the cohort is gone
-            }
-        }
-    }
-}
-
-struct Handle {
-    tx: Mailbox,
-    join: JoinHandle<()>,
-    stable: Arc<Mutex<ViewId>>,
-}
-
-/// Everything the networked transport adds to a cluster: the address
-/// book, per-cohort endpoints, and counters accumulated from torn-down
-/// (crashed) endpoints so totals survive recovery cycles.
-struct NetState {
-    addrs: Mutex<AddrMap>,
-    cfg: NetConfig,
-    endpoints: Mutex<BTreeMap<Mid, Arc<Endpoint>>>,
-    base: Mutex<NetCounters>,
 }
 
 /// Builder for a [`Cluster`].
@@ -721,7 +700,7 @@ impl ClusterBuilder {
         self
     }
 
-    /// Capture structured [`TraceEvent`]s from every cohort thread,
+    /// Capture structured [`TraceEvent`]s from every cohort,
     /// drainable via [`Cluster::trace_events`] — the runtime counterpart
     /// of the simulator's `World::enable_tracing`.
     pub fn tracing(mut self) -> Self {
@@ -773,9 +752,9 @@ impl ClusterBuilder {
         self
     }
 
-    /// Spawn all cohort threads and return the running cluster.
+    /// Start the host thread, hand it every cohort, and return the
+    /// running cluster.
     pub fn start(self) -> Cluster {
-        let router = Arc::new(Router::new(self.net_addrs.is_some()));
         let epoch = Instant::now();
         let mut peers = BTreeMap::new();
         for (group, members, _) in &self.groups {
@@ -796,78 +775,105 @@ impl ClusterBuilder {
                 base: Mutex::new(NetCounters::default()),
             }
         });
+        let specs: BTreeMap<Mid, (GroupId, Vec<Mid>, SharedFactory)> = self
+            .groups
+            .iter()
+            .flat_map(|(g, members, f)| {
+                members.iter().map(|&m| (m, (*g, members.clone(), f.clone())))
+            })
+            .collect();
+        // The host's queue carries transport frames for every cohort, so
+        // it gets every cohort's mailbox share.
+        let queue = BoundedQueue::new(self.mailbox_capacity * specs.len(), mailbox_drops.clone());
+        let progress = Arc::new(Progress::default());
+        let recorder = self.tracing.then(SharedRecorder::new);
+        let host = Host {
+            slots: BTreeMap::new(),
+            queue: Arc::clone(&queue),
+            capacity: self.mailbox_capacity.max(1),
+            epoch,
+            timer_seq: 0,
+            networked: net.is_some(),
+            metrics: Metrics::default(),
+            observations: obs_tx,
+            progress: Arc::clone(&progress),
+            recorder: recorder.clone(),
+        };
+        let host = std::thread::Builder::new()
+            .name("vsr-host".into())
+            .spawn(move || host.run())
+            // vsr-lint: allow(expect_used, reason = "thread spawn failure at cluster construction is unrecoverable")
+            .expect("spawn host thread");
         let cluster = Cluster {
-            router,
-            handles: Mutex::new(BTreeMap::new()),
-            specs: self
-                .groups
-                .iter()
-                .flat_map(|(g, members, f)| {
-                    let members = members.clone();
-                    let f = f.clone();
-                    let g = *g;
-                    members.clone().into_iter().map(move |m| (m, (g, members.clone(), f.clone())))
-                })
-                .collect(),
+            queue,
+            host,
+            live: Mutex::new(BTreeSet::new()),
+            specs,
             peers,
             cfg: self.cfg.clone(),
             epoch,
-            next_req: Mutex::new(0),
+            next_req: AtomicU64::new(0),
             observations: obs_rx,
-            obs_tx,
             stable_store: Mutex::new(BTreeMap::new()),
             stores: Mutex::new(BTreeMap::new()),
             durability: self.durability.clone(),
-            metrics: Arc::new(Mutex::new(Metrics::default())),
-            progress: Arc::new(Progress::default()),
-            recorder: self.tracing.then(SharedRecorder::new),
-            mailbox_capacity: self.mailbox_capacity,
+            outcomes: Mutex::new(Metrics::default()),
+            progress,
+            recorder,
             mailbox_drops,
             submit_deadline: self.submit_deadline,
             net,
         };
-        for (group, members, factory) in &self.groups {
-            for &mid in members {
-                cluster.spawn(*group, mid, members, factory.clone(), false);
+        if matches!(cluster.durability, Durability::Files { .. }) {
+            // File stores sync each cohort's start-up writes: make them
+            // in parallel, one thread per cohort, as the host would
+            // otherwise make them one after another.
+            std::thread::scope(|s| {
+                for (&mid, (group, members, f)) in &cluster.specs {
+                    let cluster = &cluster;
+                    s.spawn(move || cluster.spawn(*group, mid, members, f.clone(), false));
+                }
+            });
+        } else {
+            for (&mid, (group, members, f)) in &cluster.specs {
+                cluster.spawn(*group, mid, members, f.clone(), false);
             }
         }
         cluster
     }
 }
 
-/// A running cluster of cohort threads.
+/// A running cluster: one host thread runs every cohort.
 pub struct Cluster {
-    router: Arc<Router>,
-    handles: Mutex<BTreeMap<Mid, Handle>>,
+    queue: HostQueue,
+    host: JoinHandle<()>,
+    /// The cohorts the host runs (crashed ones are absent).
+    live: Mutex<BTreeSet<Mid>>,
     specs: BTreeMap<Mid, (GroupId, Vec<Mid>, SharedFactory)>,
     peers: BTreeMap<GroupId, Configuration>,
     cfg: CohortConfig,
     epoch: Instant,
-    next_req: Mutex<u64>,
+    next_req: AtomicU64,
     observations: Arc<BoundedQueue<(Mid, Observation)>>,
-    obs_tx: Option<Arc<BoundedQueue<(Mid, Observation)>>>,
     /// Simulated stable storage for the no-disk design: the last stable
     /// viewid of each crashed cohort, read back at recovery.
     stable_store: Mutex<BTreeMap<Mid, ViewId>>,
     /// Per-cohort WALs (durable clusters only). An entry outlives its
-    /// cohort thread so a recovery can replay it.
+    /// cohort so a recovery can replay it.
     stores: Mutex<BTreeMap<Mid, SharedStore>>,
     durability: Durability,
-    /// The same counter set the simulator's `World` collects, populated
-    /// by cohort threads (traffic, observations, disk) and by
-    /// [`submit`](Cluster::submit) (client-visible outcomes, latency in
-    /// microseconds).
-    metrics: Arc<Mutex<Metrics>>,
+    /// The client-visible outcomes [`submit`](Cluster::submit) counts
+    /// and the records recoveries replayed; the host counts everything
+    /// else (traffic, observations, disk).
+    outcomes: Mutex<Metrics>,
     /// View-progress condvar submitters sleep on between retry rounds.
     progress: Arc<Progress>,
     /// Installed when the builder enabled [`tracing`](ClusterBuilder::tracing).
     recorder: Option<SharedRecorder>,
-    /// Capacity for cohort mailboxes (shared with any spawned endpoint's
-    /// per-peer queues via [`NetConfig`]).
-    mailbox_capacity: usize,
-    /// Overflow accounting shared by every mailbox and the observation
+    /// Overflow accounting of the host's queue and the observation
     /// drain: evictions surface as `mailbox_drops` and rejected pushes
-    /// as `mailbox_rejections` in [`metrics`](Cluster::metrics).
+    /// as `mailbox_rejections` in [`metrics`](Cluster::metrics), added
+    /// to the host's own inbox counts.
     mailbox_drops: DropCounters,
     /// Per-round outcome deadline for [`submit`](Cluster::submit).
     submit_deadline: Duration,
@@ -915,7 +921,7 @@ impl Cluster {
         };
         let bootstrap = ViewId::initial(members[0]);
         let store = self.store_for(mid);
-        let cohort = match &store {
+        let mut cohort = match &store {
             Some(store) => {
                 // The WAL is the single source of truth: a freshly
                 // started cluster whose store already holds state (an
@@ -937,13 +943,10 @@ impl Cluster {
             }
             None => Cohort::new(params),
         };
-        self.metrics.lock().records_replayed += cohort.records_replayed();
-        let mailbox = BoundedQueue::new(self.mailbox_capacity, self.mailbox_drops.clone());
-        self.router.routes.write().insert(mid, Arc::clone(&mailbox));
+        self.outcomes.lock().records_replayed += cohort.records_replayed();
         // Networked clusters give every cohort its own transport
-        // endpoint before its thread starts; inbound frames land back in
-        // the local mailbox via the router's final-delivery hop.
-        if let Some(net) = &self.net {
+        // endpoint; inbound frames land in the host's queue.
+        let endpoint = self.net.as_ref().map(|net| {
             let (listener, bind_addr, dials) = {
                 let mut addrs = net.addrs.lock();
                 (addrs.take_listener(mid), addrs.bind_addr(mid), addrs.dial_addrs())
@@ -952,9 +955,10 @@ impl Cluster {
                 // vsr-lint: allow(expect_used, reason = "a networked cluster whose address book misses a cohort is a startup misconfiguration")
                 .expect("address book entry for cohort");
             let net_metrics = Arc::new(NetMetrics::default());
-            let router = Arc::clone(&self.router);
-            let deliver: DeliverFn =
-                Arc::new(move |from, msg| router.deliver_local(from, mid, msg));
+            let queue = Arc::clone(&self.queue);
+            let deliver: DeliverFn = Arc::new(move |from, msg| {
+                queue.push(HostMsg::To(mid, Inbox::Msg { from, msg }));
+            });
             let endpoint = match listener {
                 // A pre-bound listener (AddrMap::loopback) is adopted
                 // as-is; otherwise bind the configured address, retrying
@@ -975,47 +979,52 @@ impl Cluster {
             .expect("start cohort transport endpoint");
             let endpoint = Arc::new(endpoint);
             net.endpoints.lock().insert(mid, Arc::clone(&endpoint));
-            self.router.endpoints.write().insert(mid, endpoint);
-        }
-        let stable = Arc::new(Mutex::new(cohort.stable_viewid()));
+            endpoint
+        });
         // Group commit: the gate, and the flusher thread that runs
         // every covering fsync for it.
+        let mut flusher = None;
         let group = store.as_ref().and_then(|store| {
             let gate = store.lock().durability_gate()?;
             let (wake_tx, wake_rx) = bounded::<()>(1);
-            let store = Arc::clone(store);
-            let flusher_mailbox = Arc::clone(&mailbox);
-            std::thread::Builder::new()
-                .name(format!("flush-{mid}"))
-                .spawn(move || flusher_loop(&store, &flusher_mailbox, &wake_rx))
-                // vsr-lint: allow(expect_used, reason = "thread spawn failure at cluster construction is unrecoverable")
-                .expect("spawn flusher thread");
+            let (store, queue) = (Arc::clone(store), Arc::clone(&self.queue));
+            flusher = Some(
+                std::thread::Builder::new()
+                    .name(format!("flush-{mid}"))
+                    .spawn(move || flusher_loop(mid, &store, &queue, &wake_rx))
+                    // vsr-lint: allow(expect_used, reason = "thread spawn failure at cluster construction is unrecoverable")
+                    .expect("spawn flusher thread"),
+            );
             Some((gate, wake_tx))
         });
-        let thread = CohortThread {
+        // A fresh cohort's start-up writes (its stable viewid and first
+        // checkpoint) happen here, on the spawning thread, so a starting
+        // cluster's cohorts can make them in parallel rather than one
+        // after another on the host.
+        let mut effects = cohort.start(self.epoch.elapsed().as_millis() as u64);
+        let (mut written, mut failed) = (Vec::new(), false);
+        while let (Some(store), Some(Effect::Persist(event))) = (&store, effects.first()) {
+            let Ok(delta) = write(store, event) else {
+                failed = true;
+                break;
+            };
+            written.push(delta);
+            effects.remove(0);
+        }
+        let slot = Slot {
             cohort,
-            rx: Arc::clone(&mailbox),
-            router: self.router.clone(),
-            epoch: self.epoch,
+            inbox: VecDeque::new(),
             timers: BinaryHeap::new(),
-            timer_seq: 0,
             replies: BTreeMap::new(),
-            req_t0: BTreeMap::new(),
-            stable: stable.clone(),
             store,
-            observations: self.obs_tx.clone(),
-            metrics: self.metrics.clone(),
-            progress: self.progress.clone(),
-            recorder: self.recorder.clone(),
-            group,
-            store_failed: false,
+            group: group.filter(|_| !failed),
+            flusher,
+            endpoint,
+            failed,
         };
-        let join = std::thread::Builder::new()
-            .name(format!("cohort-{mid}"))
-            .spawn(move || thread.run())
-            // vsr-lint: allow(expect_used, reason = "thread spawn failure at cluster construction is unrecoverable")
-            .expect("spawn cohort thread");
-        self.handles.lock().insert(mid, Handle { tx: mailbox, join, stable });
+        self.queue
+            .push_critical(HostMsg::Call(Box::new(move |host| host.add(slot, written, effects))));
+        self.live.lock().insert(mid);
     }
 
     /// Submit a transaction to `client_group` and block until an outcome
@@ -1034,21 +1043,21 @@ impl Cluster {
         let config =
             self.peers.get(&client_group).ok_or(SubmitError::UnknownGroup(client_group))?;
         let members: Vec<Mid> = config.members().to_vec();
-        self.metrics.lock().submitted += 1;
+        self.outcomes.lock().submitted += 1;
         let t0 = Instant::now();
         let result = self.submit_rounds(&members, &ops);
         {
-            let mut m = self.metrics.lock();
+            let mut o = self.outcomes.lock();
             match &result {
                 Ok(TxnOutcome::Committed { .. }) => {
-                    m.committed += 1;
+                    o.committed += 1;
                     // Microseconds, not milliseconds: in-memory commits
                     // finish well under 1 ms, and whole-ms samples made
                     // every A6 percentile table read 0.
-                    m.commit_latency.record(t0.elapsed().as_micros() as u64);
+                    o.commit_latency.record(t0.elapsed().as_micros() as u64);
                 }
-                Ok(TxnOutcome::Aborted { .. }) => m.aborted += 1,
-                Ok(TxnOutcome::Unresolved) | Err(_) => m.unresolved += 1,
+                Ok(TxnOutcome::Aborted { .. }) => o.aborted += 1,
+                Ok(TxnOutcome::Unresolved) | Err(_) => o.unresolved += 1,
             }
         }
         result
@@ -1080,19 +1089,17 @@ impl Cluster {
                 if remaining.is_zero() {
                     return Err(SubmitError::Timeout { rounds, last_peer });
                 }
-                let tx = { self.handles.lock().get(&mid).map(|h| h.tx.clone()) };
-                let Some(tx) = tx else { continue };
-                let req_id = {
-                    let mut n = self.next_req.lock();
-                    *n += 1;
-                    *n
-                };
+                if !self.live.lock().contains(&mid) {
+                    continue;
+                }
+                let req_id = self.next_req.fetch_add(1, Ordering::Relaxed) + 1;
                 let (reply_tx, reply_rx) = bounded(1);
                 // Critical: a request must never be evicted by message
                 // backpressure (the client would silently lose it).
-                if !tx.push_critical(Inbox::Request { req_id, ops: ops.to_vec(), reply: reply_tx })
-                {
-                    continue; // mailbox closed: the cohort is stopping
+                let request =
+                    HostMsg::To(mid, Inbox::Request { req_id, ops: ops.to_vec(), reply: reply_tx });
+                if !self.queue.push_critical(request) {
+                    continue; // the host is gone
                 }
                 match reply_rx.recv_timeout(remaining.min(slice)) {
                     Ok(TxnOutcome::Aborted {
@@ -1101,8 +1108,9 @@ impl Cluster {
                     Ok(outcome) => return Ok(outcome),
                     Err(_) => {
                         // This member accepted the request but produced
-                        // no outcome inside its slice — remember it as
-                        // the cohort to investigate first.
+                        // no outcome inside its slice (or crashed with
+                        // it) — remember it as the cohort to
+                        // investigate first.
                         last_peer = Some(mid);
                         continue;
                     }
@@ -1118,13 +1126,23 @@ impl Cluster {
 
     /// A snapshot of the cluster's aggregate metrics — the same counter
     /// set the simulator's `World::metrics` reports, with commit
-    /// latencies in microseconds instead of ticks. Transport counters
-    /// (networked clusters) fold in live endpoints plus the accumulated
-    /// totals of endpoints torn down by earlier crashes.
+    /// latencies in microseconds instead of ticks. The host's counters
+    /// are copied out between its turns; transport counters (networked
+    /// clusters) fold in live endpoints plus the accumulated totals of
+    /// endpoints torn down by earlier crashes.
     pub fn metrics(&self) -> Metrics {
-        let mut m = self.metrics.lock().clone();
-        m.mailbox_drops = self.mailbox_drops.evictions();
-        m.mailbox_rejections = self.mailbox_drops.rejections();
+        let mut m = self.on_host(|host| host.metrics.clone()).unwrap_or_default();
+        {
+            let o = self.outcomes.lock();
+            m.submitted = o.submitted;
+            m.committed = o.committed;
+            m.aborted = o.aborted;
+            m.unresolved = o.unresolved;
+            m.commit_latency = o.commit_latency.clone();
+            m.records_replayed = o.records_replayed;
+        }
+        m.mailbox_drops += self.mailbox_drops.evictions();
+        m.mailbox_rejections += self.mailbox_drops.rejections();
         if let Some(net) = &self.net {
             let mut totals = *net.base.lock();
             for endpoint in net.endpoints.lock().values() {
@@ -1142,6 +1160,20 @@ impl Cluster {
         m
     }
 
+    /// Run `f` on the host thread between its turns and wait for its
+    /// answer (`None` when the host is gone: a closed queue drops the
+    /// call, and with it the reply channel).
+    fn on_host<T: Send + 'static>(
+        &self,
+        f: impl FnOnce(&mut Host) -> T + Send + 'static,
+    ) -> Option<T> {
+        let (tx, rx) = bounded(1);
+        self.queue.push_critical(HostMsg::Call(Box::new(move |host| {
+            tx.send(f(host)).ok(); // the caller waits on the receiver
+        })));
+        rx.recv().ok()
+    }
+
     /// Drain the structured trace events captured so far. Empty unless
     /// the cluster was built with [`ClusterBuilder::tracing`].
     pub fn trace_events(&self) -> Vec<TraceEvent> {
@@ -1153,7 +1185,6 @@ impl Cluster {
     /// survive the crash/recover cycle.
     fn teardown_endpoint(&self, mid: Mid) {
         let Some(net) = &self.net else { return };
-        self.router.endpoints.write().remove(&mid);
         let endpoint = net.endpoints.lock().remove(&mid);
         if let Some(endpoint) = endpoint {
             endpoint.shutdown();
@@ -1161,25 +1192,19 @@ impl Cluster {
         }
     }
 
-    /// Crash a cohort: its thread stops, its endpoint (if networked)
-    /// closes — peers see resets and begin reconnect backoff — and its
-    /// mail is dropped. The stable viewid is captured for a later
+    /// Crash a cohort: the host stops running it and drops its mail,
+    /// its endpoint (if networked) closes — peers see resets and begin
+    /// reconnect backoff — and its flusher ends. The co-hosted cohorts
+    /// run on. The stable viewid is captured for a later
     /// [`recover`](Self::recover).
     pub fn crash(&self, mid: Mid) {
-        let handle = self.handles.lock().remove(&mid);
-        self.router.routes.write().remove(&mid);
+        if !self.live.lock().remove(&mid) {
+            return;
+        }
+        let stable =
+            self.on_host(move |host| host.slots.remove(&mid).map(|s| s.cohort.stable_viewid()));
         self.teardown_endpoint(mid);
-        if let Some(handle) = handle {
-            let stable = *handle.stable.lock();
-            handle.tx.push_critical(Inbox::Stop);
-            handle.tx.close();
-            #[expect(
-                clippy::let_underscore_untyped,
-                clippy::let_underscore_must_use,
-                reason = "a crash-simulating thread may panic on its way down; the join result is \
-                          the point of the crash"
-            )]
-            let _ = handle.join.join();
+        if let Some(stable) = stable.flatten() {
             self.stable_store.lock().insert(mid, stable);
         }
     }
@@ -1188,7 +1213,7 @@ impl Cluster {
     /// (possibly rejoining up to date — see `vsr_store`'s safety rule);
     /// otherwise it restarts from its stable viewid alone.
     pub fn recover(&self, mid: Mid) {
-        if self.handles.lock().contains_key(&mid) {
+        if self.live.lock().contains(&mid) {
             return;
         }
         let Some((group, members, factory)) = self.specs.get(&mid).cloned() else { return };
@@ -1203,8 +1228,8 @@ impl Cluster {
 
     /// Fault injection: make the next `n` fsyncs of `mid`'s store fail
     /// (backends without injection, like [`FileStore`], ignore it).
-    /// The cohort thread treats a failed covering fsync as fatal — it
-    /// stops without acking anything the fsync was meant to cover —
+    /// The host treats a failed covering fsync as fatal to the cohort —
+    /// it stops without acking anything the fsync was meant to cover —
     /// so after arming this, expect the cohort to need
     /// [`crash`](Cluster::crash)/[`recover`](Cluster::recover).
     pub fn fail_next_syncs(&self, mid: Mid, n: u64) {
@@ -1215,7 +1240,7 @@ impl Cluster {
 
     /// The stable viewid last recorded by a live cohort.
     pub fn stable_viewid(&self, mid: Mid) -> Option<ViewId> {
-        self.handles.lock().get(&mid).map(|h| *h.stable.lock())
+        self.on_host(move |host| host.slots.get(&mid).map(|s| s.cohort.stable_viewid())).flatten()
     }
 
     /// Drain any observations collected so far (requires
@@ -1224,37 +1249,33 @@ impl Cluster {
         std::iter::from_fn(|| self.observations.try_recv()).collect()
     }
 
-    /// Stop every cohort thread (and transport endpoint) and dismantle
-    /// the cluster.
+    /// Stop the host and every flusher thread and transport endpoint,
+    /// and dismantle the cluster.
     pub fn shutdown(self) {
-        let mids: Vec<Mid> = self.handles.lock().keys().copied().collect();
-        // Endpoints first: with the sockets gone no new mail arrives,
-        // so cohort threads drain and stop promptly.
+        let mids: Vec<Mid> = self.live.lock().iter().copied().collect();
+        // Endpoints first: with the sockets gone no new mail arrives.
         for &mid in &mids {
             self.teardown_endpoint(mid);
         }
-        let mut handles = self.handles.lock();
-        for mid in mids {
-            if let Some(handle) = handles.remove(&mid) {
-                handle.tx.push_critical(Inbox::Stop);
-                handle.tx.close();
-                #[expect(
-                    clippy::let_underscore_untyped,
-                    clippy::let_underscore_must_use,
-                    reason = "join failure at shutdown means the thread already died; there is \
-                              nothing left to clean up"
-                )]
-                let _ = handle.join.join();
-            }
-        }
+        self.queue.push_critical(HostMsg::Stop);
+        // A join failure means the host already died: nothing is left.
+        self.host.join().ok();
     }
+}
+
+/// Everything the networked transport adds to a cluster: the address
+/// book, per-cohort endpoints, and counters accumulated from torn-down
+/// (crashed) endpoints so totals survive recovery cycles.
+struct NetState {
+    addrs: Mutex<AddrMap>,
+    cfg: NetConfig,
+    endpoints: Mutex<BTreeMap<Mid, Arc<Endpoint>>>,
+    base: Mutex<NetCounters>,
 }
 
 impl std::fmt::Debug for Cluster {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("Cluster")
-            .field("cohorts", &self.handles.lock().len())
-            .finish_non_exhaustive()
+        f.debug_struct("Cluster").field("cohorts", &self.live.lock().len()).finish_non_exhaustive()
     }
 }
 
@@ -1268,11 +1289,24 @@ mod tests {
     const CLIENT: GroupId = GroupId(1);
     const SERVER: GroupId = GroupId(2);
 
-    fn cluster() -> Cluster {
-        ClusterBuilder::new()
+    /// Start `builder` with a one-member client group and a three-member
+    /// counter group.
+    fn build(builder: ClusterBuilder) -> Cluster {
+        builder
             .group(CLIENT, &[Mid(10)], || Box::new(NullModule))
             .group(SERVER, &[Mid(1), Mid(2), Mid(3)], || Box::new(counter::CounterModule))
             .start()
+    }
+
+    fn cluster() -> Cluster {
+        build(ClusterBuilder::new())
+    }
+
+    fn commits(c: &Cluster, n: usize) {
+        for i in 0..n {
+            let outcome = c.submit(CLIENT, vec![counter::incr(SERVER, 0, 1)]);
+            assert!(matches!(outcome, Ok(TxnOutcome::Committed { .. })), "{i}: {outcome:?}");
+        }
     }
 
     #[test]
@@ -1307,10 +1341,7 @@ mod tests {
     #[test]
     fn live_crash_and_failover() {
         let c = cluster();
-        assert!(matches!(
-            c.submit(CLIENT, vec![counter::incr(SERVER, 0, 1)]),
-            Ok(TxnOutcome::Committed { .. })
-        ));
+        commits(&c, 1);
         // Crash the bootstrap primary of the server group.
         c.crash(Mid(1));
         // A transaction in flight during the view change may abort (the
@@ -1332,15 +1363,8 @@ mod tests {
 
     #[test]
     fn observations_are_collected() {
-        let c = ClusterBuilder::new()
-            .observe()
-            .group(CLIENT, &[Mid(10)], || Box::new(NullModule))
-            .group(SERVER, &[Mid(1), Mid(2), Mid(3)], || Box::new(counter::CounterModule))
-            .start();
-        assert!(matches!(
-            c.submit(CLIENT, vec![counter::incr(SERVER, 0, 1)]),
-            Ok(TxnOutcome::Committed { .. })
-        ));
+        let c = build(ClusterBuilder::new().observe());
+        commits(&c, 1);
         // Allow backups to apply the commit.
         std::thread::sleep(Duration::from_millis(300));
         let obs = c.observations();
@@ -1357,11 +1381,7 @@ mod tests {
         // (DESIGN §14), so the boundary snapshot after 2,000 increments
         // is no bigger than the first. Counting bytes, not time, keeps
         // this from flaking on a slow runner.
-        let c = ClusterBuilder::new()
-            .observe()
-            .group(CLIENT, &[Mid(10)], || Box::new(NullModule))
-            .group(SERVER, &[Mid(1), Mid(2), Mid(3)], || Box::new(counter::CounterModule))
-            .start();
+        let c = build(ClusterBuilder::new().observe());
         let mut sizes = Vec::new();
         for i in 0..2_000 {
             let outcome = c.submit(CLIENT, vec![counter::incr(SERVER, 0, 1)]);
@@ -1427,27 +1447,16 @@ mod tests {
             reason = "best-effort cleanup: the directory is usually absent"
         )]
         let _: std::io::Result<()> = std::fs::remove_dir_all(&dir);
-        let build = || {
-            ClusterBuilder::new()
-                .durable_files(&dir, FsyncPolicy::EveryRecord)
-                .group(CLIENT, &[Mid(10)], || Box::new(NullModule))
-                .group(SERVER, &[Mid(1), Mid(2), Mid(3)], || Box::new(counter::CounterModule))
-                .start()
-        };
-        let c = build();
-        for _ in 0..3 {
-            assert!(matches!(
-                c.submit(CLIENT, vec![counter::incr(SERVER, 0, 1)]),
-                Ok(TxnOutcome::Committed { .. })
-            ));
-        }
+        let start = || build(ClusterBuilder::new().durable_files(&dir, FsyncPolicy::EveryRecord));
+        let c = start();
+        commits(&c, 3);
         let metrics = c.store_metrics(Mid(1)).expect("durable cohort has a store");
         assert!(metrics.appends > 0, "primary journaled its records");
         // Kill everything.
         c.shutdown();
         // Restart the whole group from disk: the counter's three
         // increments must still be there, so the next one reads 4.
-        let c = build();
+        let c = start();
         let mut committed_value = None;
         for _ in 0..50 {
             match c.submit(CLIENT, vec![counter::incr(SERVER, 0, 1)]) {
@@ -1469,15 +1478,8 @@ mod tests {
 
     #[test]
     fn durable_mem_cluster_recovers_crashed_cohort_from_wal() {
-        let c = ClusterBuilder::new()
-            .durable(FsyncPolicy::EveryRecord)
-            .group(CLIENT, &[Mid(10)], || Box::new(NullModule))
-            .group(SERVER, &[Mid(1), Mid(2), Mid(3)], || Box::new(counter::CounterModule))
-            .start();
-        assert!(matches!(
-            c.submit(CLIENT, vec![counter::incr(SERVER, 0, 1)]),
-            Ok(TxnOutcome::Committed { .. })
-        ));
+        let c = build(ClusterBuilder::new().durable(FsyncPolicy::EveryRecord));
+        commits(&c, 1);
         c.crash(Mid(2));
         c.recover(Mid(2));
         // The recovered backup replays its WAL and keeps serving.
@@ -1504,6 +1506,7 @@ mod tests {
         // flushes under the lock and still posts the covering
         // completion.
         use vsr_core::durable::DurableEvent;
+        use vsr_store::StoreError;
         #[derive(Debug)]
         struct NoHandleStore {
             unsynced: u64,
@@ -1536,14 +1539,17 @@ mod tests {
         }
         let store: SharedStore =
             Arc::new(Mutex::new(Box::new(NoHandleStore { unsynced: 7, appends: 7 })));
-        let mailbox: Mailbox = BoundedQueue::new(8, DropCounters::new());
+        let queue: HostQueue = BoundedQueue::new(8, DropCounters::new());
         let (wake_tx, wake_rx) = bounded::<()>(1);
         wake_tx.send(()).unwrap();
         drop(wake_tx); // one wake; the closed channel then stops the loop
-        flusher_loop(&store, &mailbox, &wake_rx);
+        flusher_loop(Mid(1), &store, &queue, &wake_rx);
         assert_eq!(store.lock().unsynced_records(), 0, "inline fallback flushed the batch");
         assert!(
-            matches!(mailbox.try_recv(), Some(Inbox::Synced { upto: 7, covered: 7 })),
+            matches!(
+                queue.try_recv(),
+                Some(HostMsg::To(Mid(1), Inbox::Synced { upto: 7, covered: 7 }))
+            ),
             "the inline fallback posts the covering completion"
         );
     }
@@ -1578,10 +1584,7 @@ mod tests {
         // inside the old worst case of 20 rounds x 100ms on top of the
         // view change itself.
         let c = cluster();
-        assert!(matches!(
-            c.submit(CLIENT, vec![counter::incr(SERVER, 0, 1)]),
-            Ok(TxnOutcome::Committed { .. })
-        ));
+        commits(&c, 1);
         c.crash(Mid(1));
         let t0 = Instant::now();
         let mut committed = false;
@@ -1605,17 +1608,8 @@ mod tests {
 
     #[test]
     fn metrics_and_traces_are_collected() {
-        let c = ClusterBuilder::new()
-            .tracing()
-            .group(CLIENT, &[Mid(10)], || Box::new(NullModule))
-            .group(SERVER, &[Mid(1), Mid(2), Mid(3)], || Box::new(counter::CounterModule))
-            .start();
-        for _ in 0..3 {
-            assert!(matches!(
-                c.submit(CLIENT, vec![counter::incr(SERVER, 0, 1)]),
-                Ok(TxnOutcome::Committed { .. })
-            ));
-        }
+        let c = build(ClusterBuilder::new().tracing());
+        commits(&c, 3);
         let m = c.metrics();
         assert_eq!(m.submitted, 3);
         assert_eq!(m.committed, 3);
@@ -1632,6 +1626,33 @@ mod tests {
             events.iter().any(|e| matches!(e.kind, TraceKind::Recv { .. })),
             "deliveries traced"
         );
+        c.shutdown();
+    }
+
+    fn group_commit_cluster() -> Cluster {
+        build(ClusterBuilder::new().durable(FsyncPolicy::Group { max_batch: 64, max_delay_ms: 5 }))
+    }
+
+    #[test]
+    fn a_co_hosted_cohort_stops_crashes_and_recovers_while_its_peers_run() {
+        // Every cohort shares the host. A backup's failed covering fsync
+        // stops only that backup; the primary and the other backup
+        // commit without it. A crash and recovery rejoin it from its WAL.
+        let c = group_commit_cluster();
+        commits(&c, 3);
+        c.fail_next_syncs(Mid(3), 1);
+        commits(&c, 5);
+        let stopped = c.store_metrics(Mid(3)).expect("a store").appends;
+        commits(&c, 5);
+        assert_eq!(c.store_metrics(Mid(3)).expect("a store").appends, stopped, "m3 stopped");
+        assert!(c.stable_viewid(Mid(3)).is_some(), "a stopped cohort is not a crashed one");
+        c.crash(Mid(3));
+        assert_eq!(c.stable_viewid(Mid(3)), None);
+        commits(&c, 5);
+        c.recover(Mid(3));
+        commits(&c, 10);
+        assert!(c.store_metrics(Mid(3)).expect("a store").appends > stopped, "m3 recovered");
+        assert!(c.metrics().group_fsyncs > 0, "flusher completions reached the host");
         c.shutdown();
     }
 

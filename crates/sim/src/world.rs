@@ -11,13 +11,14 @@ use vsr_core::cohort::{
     Timer, TxnOutcome,
 };
 use vsr_core::config::CohortConfig;
-use vsr_core::durable::{DurabilityGate, RecoveredState};
+use vsr_core::durable::{DurabilityGate, DurableEvent, RecoveredState};
 use vsr_core::history::History;
 use vsr_core::messages::Message;
 use vsr_core::module::Module;
 use vsr_core::types::Viewstamp;
 use vsr_core::types::{Aid, GroupId, Mid, ViewId};
 use vsr_core::view::Configuration;
+use vsr_obs::account::{self, EffectHost};
 use vsr_obs::{Metrics, PersistDelta, SharedRecorder, TraceEvent, TraceKind};
 use vsr_simnet::net::{Event, NetConfig, NetStats, SimNet};
 use vsr_store::{FsyncPolicy, SimDisk, Store};
@@ -251,6 +252,64 @@ pub struct World {
     recorder: Option<SharedRecorder>,
 }
 
+/// The simulator's I/O: the virtual network, its timer queue and the
+/// simulated disks.
+impl EffectHost for World {
+    fn metrics(&mut self) -> &mut Metrics {
+        &mut self.metrics
+    }
+
+    fn trace(&mut self, mid: Mid, kind: TraceKind, vs: Option<Viewstamp>) {
+        let Some(recorder) = &self.recorder else { return };
+        let vs = vs.or_else(|| self.cohorts.get(&mid).and_then(|c| c.history().latest()));
+        recorder.record(TraceEvent { tick: self.net.now(), cohort: mid, vs, kind });
+    }
+
+    fn gate(&mut self, mid: Mid) -> Option<&mut DurabilityGate> {
+        self.gates.get_mut(&mid)
+    }
+
+    fn send(&mut self, from: Mid, to: Mid, msg: Message) {
+        let size = msg.wire_size();
+        self.net.send_dup(from.0, to.0, msg, size);
+    }
+
+    fn set_timer(&mut self, mid: Mid, after: u64, timer: Timer) {
+        self.net.set_timer(mid.0, after, timer);
+    }
+
+    fn result(&mut self, _mid: Mid, req_id: u64, aid: Option<Aid>, outcome: TxnOutcome) {
+        self.record_result(req_id, aid, outcome);
+    }
+
+    /// Durable worlds write the cohort's WAL; without disks the effect
+    /// is dropped, which *is* the paper's no-disk design.
+    fn persist(&mut self, mid: Mid, event: &DurableEvent) -> Option<PersistDelta> {
+        let disk = self.disks.get_mut(&mid)?;
+        let (before, unsynced_before) = (disk.metrics(), disk.unsynced_records());
+        disk.persist(event)
+            .expect("invariant: the world never arms sync-failure injection on its disks");
+        let d = disk.metrics().since(&before);
+        Some(PersistDelta {
+            appends: d.appends,
+            fsyncs: d.fsyncs,
+            bytes_written: d.bytes_written,
+            checkpoints: d.checkpoints,
+            unsynced_before,
+            unsynced_after: disk.unsynced_records(),
+        })
+    }
+
+    fn observe(&mut self, _mid: Mid, obs: Observation) {
+        if let Observation::LeasedRead { req_id, .. } = &obs {
+            if let Some(&t0) = self.submitted_at.get(req_id) {
+                self.metrics.lease_read_ticks.record(self.net.now() - t0);
+            }
+        }
+        self.observations.push((self.net.now(), obs));
+    }
+}
+
 impl std::fmt::Debug for World {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("World")
@@ -296,14 +355,6 @@ impl World {
         let handle = SharedRecorder::new();
         self.recorder = Some(handle.clone());
         handle
-    }
-
-    /// Record a trace event stamped with `vs` when the observation
-    /// carries its own viewstamp, else with `cohort`'s current one.
-    fn trace(&mut self, cohort: Mid, kind: TraceKind, vs: Option<Viewstamp>) {
-        let Some(recorder) = &self.recorder else { return };
-        let vs = vs.or_else(|| self.cohorts.get(&cohort).and_then(|c| c.history().latest()));
-        recorder.record(TraceEvent { tick: self.net.now(), cohort, vs, kind });
     }
 
     /// Run one handler pass on a cohort: the call is wrapped in
@@ -703,103 +754,29 @@ impl World {
     // effect execution
     // ------------------------------------------------------------------
 
+    /// Run a handler's effects through the shared dispatch, then give
+    /// a gated cohort the covering fsync its pass needs.
     fn apply_effects(&mut self, mid: Mid, effects: Vec<Effect>) {
-        for effect in effects {
-            let admitted = match self.gates.get_mut(&mid) {
-                Some(gate) => gate.admit(effect),
-                None => Some(effect),
-            };
-            if let Some(effect) = admitted {
-                self.execute(mid, effect);
-            }
-        }
-        // Group commit: one covering fsync per handler pass, before the
-        // next event runs.
+        account::dispatch(self, mid, effects);
         self.flush_disk(mid);
     }
 
-    /// Execute one effect the durability gate let through (or released).
-    fn execute(&mut self, mid: Mid, effect: Effect) {
-        match effect {
-            Effect::Send { to, msg } => {
-                let kind = self.metrics.on_send(to, &msg);
-                self.trace(mid, kind, None);
-                let size = msg.wire_size();
-                self.net.send_dup(mid.0, to.0, msg, size);
-            }
-            Effect::SetTimer { after, timer } => {
-                self.net.set_timer(mid.0, after, timer);
-            }
-            Effect::TxnResult { req_id, aid, outcome } => {
-                self.record_result(req_id, aid, outcome);
-            }
-            Effect::Persist(event) => {
-                // Durable worlds write the cohort's WAL; without
-                // disks the effect is dropped, which *is* the
-                // paper's no-disk design.
-                if let Some(disk) = self.disks.get_mut(&mid) {
-                    let before = disk.metrics();
-                    let unsynced_before = disk.unsynced_records();
-                    disk.persist(&event).expect(
-                        "invariant: the world never arms sync-failure injection on its disks",
-                    );
-                    let d = disk.metrics().since(&before);
-                    let delta = PersistDelta {
-                        appends: d.appends,
-                        fsyncs: d.fsyncs,
-                        bytes_written: d.bytes_written,
-                        checkpoints: d.checkpoints,
-                        unsynced_before,
-                        unsynced_after: disk.unsynced_records(),
-                    };
-                    if let Some(kind) = self.metrics.on_persist(&delta) {
-                        self.trace(mid, kind, None);
-                    }
-                    if let Some(gate) = self.gates.get_mut(&mid) {
-                        let released = gate.persisted(delta.appends, delta.unsynced_after);
-                        for effect in released {
-                            self.execute(mid, effect);
-                        }
-                    }
-                }
-            }
-            Effect::Observe(observation) => {
-                if let Some((kind, vs)) = self.metrics.on_observation(&observation) {
-                    self.trace(mid, kind, vs);
-                }
-                if let Observation::LeasedRead { req_id, .. } = &observation {
-                    if let Some(&t0) = self.submitted_at.get(req_id) {
-                        self.metrics.lease_read_ticks.record(self.net.now() - t0);
-                    }
-                }
-                self.observations.push((self.net.now(), observation));
-            }
-        }
-    }
-
-    /// Sync a cohort's disk if it holds records awaiting their covering
-    /// fsync, account the group commit, and release what the gate
-    /// parked behind them. Only a gated cohort (`FsyncPolicy::Group`)
-    /// is promised a covering fsync per pass; the lazier barrier
-    /// policies leave their unsynced suffix exposed *by design* (that
-    /// exposure is what A4 and the catastrophe model measure).
+    /// Group commit: one covering fsync per handler pass, before the
+    /// next event runs. Only a gated cohort (`FsyncPolicy::Group`) is
+    /// promised one; the lazier barrier policies leave their unsynced
+    /// suffix exposed *by design* (that exposure is what A4 and the
+    /// catastrophe model measure).
     fn flush_disk(&mut self, mid: Mid) {
-        let (Some(disk), Some(gate)) = (self.disks.get_mut(&mid), self.gates.get_mut(&mid)) else {
+        let (Some(disk), Some(gate)) = (self.disks.get_mut(&mid), self.gates.get(&mid)) else {
             return;
         };
         let covered = disk.unsynced_records();
         if covered == 0 {
             return;
         }
-        let before = disk.metrics().fsyncs;
         disk.flush().expect("invariant: the world never arms sync-failure injection on its disks");
-        if disk.metrics().fsyncs > before {
-            self.metrics.on_sync(covered);
-        }
-        let released = gate.synced(gate.appended());
-        for effect in released {
-            self.execute(mid, effect);
-        }
+        let upto = gate.appended();
+        account::synced(self, mid, upto, covered);
     }
 
     fn record_result(&mut self, req_id: u64, aid: Option<Aid>, outcome: TxnOutcome) {

@@ -174,9 +174,9 @@ impl StoreMetrics {
 
 /// One covering sync, detachable from the store's lock.
 ///
-/// Group commit wants the fsync *off* the cohort thread: while the
-/// device flushes (hundreds of microseconds), the cohort should keep
-/// appending the next batch. A handle taken via
+/// Group commit wants the fsync *off* the thread that runs the cohort:
+/// while the device flushes (hundreds of microseconds), the cohort
+/// should keep appending the next batch. A handle taken via
 /// [`Store::sync_handle`] is shipped to a flusher thread and synced
 /// there without holding the store's mutex; the store keeps accepting
 /// appends concurrently.

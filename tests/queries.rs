@@ -265,3 +265,81 @@ fn queries_answered_by_backups_when_primary_is_down() {
          ({knowing_backups} holding, {retired_at_backups} retired-after-done)"
     );
 }
+
+#[test]
+fn a_group_coordinating_a_transaction_on_itself_installs_it_there() {
+    // The coordinator's own committing record sits in the same group
+    // state as its calls. Phase two's commit to itself must install the
+    // calls and free their locks rather than take that record for a
+    // duplicate commit, or the write never reaches the group's state
+    // and the next transaction on the object waits forever.
+    let mut w = WorldBuilder::new(5)
+        .net(NetConfig { min_delay: 1, max_delay: 3, drop_prob: 0.0, dup_prob: 0.0, seed: 5 })
+        .group(SERVER, &[Mid(1), Mid(2), Mid(3)], || Box::new(counter::CounterModule))
+        .build();
+    for expected in 1..=2 {
+        let req = w.submit(SERVER, vec![counter::incr(SERVER, 1, 1)]);
+        w.run_for(2_000);
+        match &w.result(req).expect("an outcome").outcome {
+            TxnOutcome::Committed { results } => {
+                assert_eq!(counter::decode_value(&results[0]).unwrap(), expected);
+            }
+            other => panic!("expected commit, got {other:?}"),
+        }
+    }
+    for mid in [Mid(1), Mid(2), Mid(3)] {
+        let cohort = w.cohort(mid);
+        assert_eq!(cohort.gstate().pending_txns().count(), 0, "cohort {mid} keeps records");
+        assert_eq!(cohort.locks().holders().count(), 0, "cohort {mid} keeps locks");
+    }
+    w.verify().unwrap();
+}
+
+#[test]
+fn new_coordinator_primary_aborts_its_groups_cut_off_transactions() {
+    // A read submitted to the group that serves it (the fallback when
+    // no lease is held) is coordinated by that group, which holds the
+    // read lock as a participant too. Its primary crashes after the
+    // call's record reached the backups but before any commit: the new
+    // primary restores the lock from the record (Section 3.3), and
+    // nothing else will free it. Section 3.1 says the transaction
+    // aborted with the view change; the new primary must apply that
+    // itself, or its lock is held forever.
+    let mut cfg = CohortConfig::new();
+    cfg.stale_txn_timeout = 300; // sweep quickly for the test
+    let mut w = WorldBuilder::new(5)
+        .net(NetConfig { min_delay: 1, max_delay: 3, drop_prob: 0.0, dup_prob: 0.0, seed: 5 })
+        .cohorts(cfg)
+        .group(SERVER, &[Mid(1), Mid(2), Mid(3)], || Box::new(counter::CounterModule))
+        .build();
+    let warm = w.submit(SERVER, vec![counter::read(SERVER, 1)]);
+    w.run_for(2_000);
+    assert!(matches!(w.result(warm).map(|r| &r.outcome), Some(TxnOutcome::Committed { .. })));
+    let old = w.primary_of(SERVER).expect("server primary");
+    // No phase one: the call runs and its record is replicated, but the
+    // transaction never commits at the old primary.
+    w.set_class_drop(&["prepare", "prepare-ok"]);
+    let req = w.submit(SERVER, vec![counter::read(SERVER, 0)]);
+    w.run_for(50);
+    let aid = w.cohort(old).locks().holders().next().expect("the call holds its lock");
+    w.crash(old);
+    w.clear_class_drop();
+    w.run_for(5_000);
+    let new = w.primary_of(SERVER).expect("a new server primary");
+    assert_ne!(new, old);
+    for mid in [Mid(1), Mid(2), Mid(3)].into_iter().filter(|&m| m != old) {
+        let cohort = w.cohort(mid);
+        assert!(!cohort.locks().holds_any(aid), "cohort {mid} keeps {aid}'s locks");
+        assert_eq!(cohort.gstate().pending_txns().count(), 0, "cohort {mid} keeps records");
+    }
+    assert!(w.result(req).is_some(), "the crash settled the cut-off transaction");
+    let next = w.submit(SERVER, vec![counter::incr(SERVER, 0, 5)]);
+    w.run_for(2_000);
+    match &w.result(next).expect("an outcome").outcome {
+        TxnOutcome::Committed { results } => {
+            assert_eq!(counter::decode_value(&results[0]).unwrap(), 5, "lock was free");
+        }
+        other => panic!("expected commit, got {other:?}"),
+    }
+    w.verify().unwrap();
+}
