@@ -303,21 +303,9 @@ pub fn run() -> String {
 mod tests {
     use super::*;
 
-    #[test]
-    fn concurrent_clients_raise_in_memory_throughput() {
-        let one = measure(Setup::InMemory, 1, Duration::from_millis(500));
-        let eight = measure(Setup::InMemory, 8, Duration::from_millis(500));
-        assert!(one.committed > 0 && eight.committed > 0, "both cells commit");
-        // The full ≥2× acceptance ratio is asserted on the release-mode
-        // CI run; a debug-mode unit test on a loaded machine only
-        // checks the direction of the effect.
-        assert!(
-            eight.throughput > one.throughput,
-            "8 clients must out-commit 1 ({} vs {} tx/s)",
-            eight.throughput,
-            one.throughput
-        );
-    }
+    // The direction check (8 clients out-commit 1) is in
+    // `tests/a6_scaling.rs`, a test binary of its own: it compares two
+    // wall-clock windows, and another test sharing the cores skews them.
 
     #[test]
     fn group_commit_batches_records_per_fsync() {

@@ -226,8 +226,16 @@ pub trait EffectHost {
     fn result(&mut self, mid: Mid, req_id: u64, aid: Option<Aid>, outcome: TxnOutcome);
     /// Write `event` to the cohort's store and say what the write did;
     /// `None` when there is no store (the paper's no-disk design drops
-    /// the effect) or the write failed and the cohort stopped.
-    fn persist(&mut self, mid: Mid, event: &DurableEvent) -> Option<PersistDelta>;
+    /// the effect), the write failed and the cohort stopped, or the
+    /// write finishes later and the cohort now [waits](EffectHost::waiting).
+    fn persist(&mut self, mid: Mid, event: DurableEvent) -> Option<PersistDelta>;
+    /// Whether the cohort waits for a write that finishes later: its
+    /// further effects must not overtake that write.
+    fn waiting(&self, _mid: Mid) -> bool {
+        false
+    }
+    /// Keep `effects` (in order) until the awaited write lands.
+    fn defer(&mut self, _mid: Mid, _effects: Vec<Effect>) {}
     /// Deliver an observation to the harness's own consumers (the
     /// hooks have already counted it).
     fn observe(&mut self, mid: Mid, obs: Observation);
@@ -235,11 +243,18 @@ pub trait EffectHost {
 
 /// Run one handler's effects: admit each through the cohort's
 /// durability gate, account it, and execute what the gate lets out.
+/// Once the cohort waits for a write that finishes later, the rest go
+/// to [`EffectHost::defer`], in order.
 pub fn dispatch<H: EffectHost + ?Sized>(host: &mut H, mid: Mid, effects: Vec<Effect>) {
-    for effect in effects {
+    let mut effects = effects.into_iter();
+    while let Some(effect) = effects.next() {
         if host.stopped(mid) {
             // A fatal store error dropped the parked effects; nothing
             // later may leak out either.
+            return;
+        }
+        if host.waiting(mid) {
+            host.defer(mid, std::iter::once(effect).chain(effects).collect());
             return;
         }
         let admitted = match host.gate(mid) {
@@ -296,7 +311,7 @@ fn execute<H: EffectHost + ?Sized>(host: &mut H, mid: Mid, effect: Effect) {
         Effect::SetTimer { after, timer } => host.set_timer(mid, after, timer),
         Effect::TxnResult { req_id, aid, outcome } => host.result(mid, req_id, aid, outcome),
         Effect::Persist(event) => {
-            if let Some(delta) = host.persist(mid, &event) {
+            if let Some(delta) = host.persist(mid, event) {
                 persisted(host, mid, delta);
             }
         }

@@ -149,6 +149,8 @@ enum Inbox {
     /// The covering fsync failed; fatal to the cohort (nothing it was
     /// meant to cover may be acknowledged).
     SyncFailed,
+    /// The flusher wrote the checkpoint the cohort waits for.
+    Checkpointed(PersistDelta),
 }
 
 /// A cohort run by the host, with everything its effects touch.
@@ -165,9 +167,16 @@ struct Slot {
     store: Option<SharedStore>,
     /// Group commit (`FsyncPolicy::Group` stores only): the gate that
     /// parks effects asserting durability until their covering fsync,
-    /// and the flusher's wake token, needed only on the clean → dirty
-    /// transition. Dropping the sender stops the flusher.
-    group: Option<(DurabilityGate, Sender<()>)>,
+    /// the flusher's wake token, needed only on the clean → dirty
+    /// transition, and its checkpoint hand-off. Dropping the senders
+    /// stops the flusher.
+    group: Option<(DurabilityGate, Sender<()>, Sender<DurableEvent>)>,
+    /// The cohort's flusher is writing a checkpoint for it (a rotate
+    /// and two fsyncs): until it lands the cohort runs no pass and no
+    /// timer, and the effects it emitted after the checkpoint wait here,
+    /// so nothing overtakes the checkpoint in the log or on the wire.
+    /// Its co-hosted peers run on.
+    checkpointing: Option<Vec<Effect>>,
     /// The flusher thread, joined when the slot is dropped.
     flusher: Option<JoinHandle<()>>,
     /// The cohort's transport endpoint (networked clusters only).
@@ -234,11 +243,11 @@ impl Host {
         loop {
             // Wait for work unless an inbox still holds some, at most
             // until the earliest timer is due.
-            let timeout = if self.slots.values().any(|s| !s.inbox.is_empty()) {
+            let runnable = || self.slots.values().filter(|s| s.checkpointing.is_none());
+            let timeout = if runnable().any(|s| !s.inbox.is_empty()) {
                 Duration::ZERO
             } else {
-                self.slots
-                    .values()
+                runnable()
                     .filter_map(|s| s.timers.peek())
                     .map(|t| t.due.saturating_duration_since(Instant::now()))
                     .min()
@@ -281,6 +290,18 @@ impl Host {
         if slot.failed {
             return;
         }
+        // A waiting cohort runs no pass: its flusher's answer is taken
+        // at once (a stale one, from before a crash, is dropped).
+        match item {
+            Inbox::Checkpointed(delta) => return self.checkpointed(to, delta),
+            Inbox::SyncFailed if slot.checkpointing.is_some() => {
+                return self.fatal_store_error(to);
+            }
+            Inbox::Msg { .. }
+            | Inbox::Request { .. }
+            | Inbox::Synced { .. }
+            | Inbox::SyncFailed => {}
+        }
         let mail = |item: &Inbox| matches!(item, Inbox::Msg { .. });
         if mail(&item) && slot.inbox.len() >= self.capacity {
             match slot.inbox.iter().position(mail) {
@@ -316,7 +337,10 @@ impl Host {
         loop {
             let tick = self.now_ticks();
             let Some(slot) = self.slots.get_mut(&mid) else { return };
-            if slot.failed || slot.timers.peek().is_none_or(|t| t.due > now) {
+            if slot.failed
+                || slot.checkpointing.is_some()
+                || slot.timers.peek().is_none_or(|t| t.due > now)
+            {
                 break;
             }
             let timer = slot.timers.pop().expect("invariant: peek returned Some").timer;
@@ -326,7 +350,7 @@ impl Host {
             }
             account::dispatch(self, mid, effects);
         }
-        if let Some((gate, wake)) = self.slots.get(&mid).and_then(|s| s.group.as_ref()) {
+        if let Some((gate, wake, _)) = self.slots.get(&mid).and_then(|s| s.group.as_ref()) {
             if gate.is_dirty() {
                 // A full channel means a wake is already pending; a
                 // closed one, that the flusher died and its SyncFailed
@@ -342,14 +366,18 @@ impl Host {
     /// and message the pass admitted.
     fn pass(&mut self, mid: Mid) {
         let Some(slot) = self.slots.get_mut(&mid) else { return };
-        if slot.inbox.is_empty() || slot.failed {
+        if slot.inbox.is_empty() || slot.failed || slot.checkpointing.is_some() {
             return;
         }
         slot.cohort.begin_pass();
         for _ in 0..MAX_PASS_ITEMS {
             let now = self.now_ticks();
-            // A store failure mid-pass empties the inbox.
+            // A store failure mid-pass empties the inbox; a checkpoint
+            // handed to the flusher ends the pass.
             let Some(slot) = self.slots.get_mut(&mid) else { return };
+            if slot.checkpointing.is_some() {
+                break;
+            }
             let Some(item) = slot.inbox.pop_front() else { break };
             match item {
                 Inbox::Msg { from, msg } => {
@@ -368,6 +396,7 @@ impl Host {
                 }
                 Inbox::Synced { upto, covered } => account::synced(self, mid, upto, covered),
                 Inbox::SyncFailed => self.fatal_store_error(mid),
+                Inbox::Checkpointed(_) => {} // taken by `post`
             }
         }
         let Some(slot) = self.slots.get_mut(&mid) else { return };
@@ -379,14 +408,28 @@ impl Host {
     /// meant to cover may become visible: the parked sends and replies
     /// are dropped (submitters try another member), and the cohort
     /// stops — the runtime analogue of the process crash the paper
-    /// assumes on stable-storage failure. Its co-hosted peers run on.
+    /// assumes on stable-storage failure. Its co-hosted peers run on,
+    /// and its timers go too: a due timer nobody will fire would keep
+    /// the host from sleeping.
     fn fatal_store_error(&mut self, mid: Mid) {
         if let Some(slot) = self.slots.get_mut(&mid) {
             slot.group = None;
             slot.replies.clear();
             slot.inbox.clear();
+            slot.timers.clear();
+            slot.checkpointing = None;
             slot.failed = true;
         }
+    }
+
+    /// The flusher wrote the checkpoint `mid` waits for: account it,
+    /// then run what the cohort emitted after it.
+    fn checkpointed(&mut self, mid: Mid, delta: PersistDelta) {
+        let Some(rest) = self.slots.get_mut(&mid).and_then(|s| s.checkpointing.take()) else {
+            return;
+        };
+        account::persisted(self, mid, delta);
+        account::dispatch(self, mid, rest);
     }
 }
 
@@ -414,7 +457,7 @@ impl EffectHost for Host {
     }
 
     fn gate(&mut self, mid: Mid) -> Option<&mut DurabilityGate> {
-        self.slots.get_mut(&mid)?.group.as_mut().map(|(gate, _)| gate)
+        self.slots.get_mut(&mid)?.group.as_mut().map(|(gate, ..)| gate)
     }
 
     fn stopped(&self, mid: Mid) -> bool {
@@ -445,9 +488,31 @@ impl EffectHost for Host {
         }
     }
 
-    fn persist(&mut self, mid: Mid, event: &DurableEvent) -> Option<PersistDelta> {
-        let written = write(self.slots.get(&mid)?.store.as_ref()?, event);
+    fn persist(&mut self, mid: Mid, event: DurableEvent) -> Option<PersistDelta> {
+        let slot = self.slots.get_mut(&mid)?;
+        if let (DurableEvent::Checkpoint(_), Some((_, wake, checkpoints))) = (&event, &slot.group) {
+            // A checkpoint rotates the log and syncs twice. Its flusher
+            // writes it, so the other cohorts need not wait for it.
+            if checkpoints.try_send(event).is_ok() {
+                wake.try_send(()).ok(); // a full channel: a wake is pending
+                slot.checkpointing = Some(Vec::new());
+            } else {
+                self.fatal_store_error(mid); // the flusher died
+            }
+            return None;
+        }
+        let written = write(slot.store.as_ref()?, &event);
         written.map_err(|_| self.fatal_store_error(mid)).ok()
+    }
+
+    fn waiting(&self, mid: Mid) -> bool {
+        self.slots.get(&mid).is_some_and(|s| s.checkpointing.is_some())
+    }
+
+    fn defer(&mut self, mid: Mid, effects: Vec<Effect>) {
+        if let Some(waiting) = self.slots.get_mut(&mid).and_then(|s| s.checkpointing.as_mut()) {
+            waiting.extend(effects);
+        }
     }
 
     fn observe(&mut self, mid: Mid, obs: Observation) {
@@ -508,9 +573,23 @@ fn write(store: &SharedStore, event: &DurableEvent) -> Result<PersistDelta, Stor
 /// roundtrip per batch, and sleeping to accumulate bigger batches
 /// costs more than the fsync it tries to amortize on kernels whose
 /// minimum real sleep exceeds the fsync latency.
-fn flusher_loop(mid: Mid, store: &SharedStore, queue: &HostQueue, wake: &Receiver<()>) {
+fn flusher_loop(
+    mid: Mid,
+    store: &SharedStore,
+    queue: &HostQueue,
+    wake: &Receiver<()>,
+    checkpoints: &Receiver<DurableEvent>,
+) {
     while wake.recv().is_ok() {
         loop {
+            // A checkpoint goes first: its cohort waits for it.
+            if let Ok(event) = checkpoints.try_recv() {
+                let item = write(store, &event).map_or(Inbox::SyncFailed, Inbox::Checkpointed);
+                let failed = matches!(item, Inbox::SyncFailed);
+                if !queue.push_critical(HostMsg::To(mid, item)) || failed {
+                    return;
+                }
+            }
             let job = {
                 let mut store = store.lock();
                 let covered = store.unsynced_records();
@@ -987,15 +1066,17 @@ impl Cluster {
         let group = store.as_ref().and_then(|store| {
             let gate = store.lock().durability_gate()?;
             let (wake_tx, wake_rx) = bounded::<()>(1);
+            // One checkpoint at a time: its cohort waits for it.
+            let (checkpoint_tx, checkpoint_rx) = bounded::<DurableEvent>(1);
             let (store, queue) = (Arc::clone(store), Arc::clone(&self.queue));
             flusher = Some(
                 std::thread::Builder::new()
                     .name(format!("flush-{mid}"))
-                    .spawn(move || flusher_loop(mid, &store, &queue, &wake_rx))
+                    .spawn(move || flusher_loop(mid, &store, &queue, &wake_rx, &checkpoint_rx))
                     // vsr-lint: allow(expect_used, reason = "thread spawn failure at cluster construction is unrecoverable")
                     .expect("spawn flusher thread"),
             );
-            Some((gate, wake_tx))
+            Some((gate, wake_tx, checkpoint_tx))
         });
         // A fresh cohort's start-up writes (its stable viewid and first
         // checkpoint) happen here, on the spawning thread, so a starting
@@ -1018,6 +1099,7 @@ impl Cluster {
             replies: BTreeMap::new(),
             store,
             group: group.filter(|_| !failed),
+            checkpointing: None,
             flusher,
             endpoint,
             failed,
@@ -1477,6 +1559,42 @@ mod tests {
     }
 
     #[test]
+    fn checkpoints_written_by_the_flushers_keep_every_commit() {
+        // Group commit hands every checkpoint to its cohort's flusher.
+        // A snapshot every 8 records makes many of them, on file WALs,
+        // across a backup's crash and recovery.
+        let dir = std::env::temp_dir().join(format!("vsr-flusher-ckpt-{}", std::process::id()));
+        #[expect(
+            clippy::let_underscore_must_use,
+            reason = "best-effort cleanup: the directory is usually absent"
+        )]
+        let _: std::io::Result<()> = std::fs::remove_dir_all(&dir);
+        let mut cfg = CohortConfig::new();
+        cfg.snapshot_interval = 8;
+        let policy = FsyncPolicy::Group { max_batch: 64, max_delay_ms: 5 };
+        let c = build(ClusterBuilder::new().cohorts(cfg).durable_files(&dir, policy));
+        commits(&c, 20);
+        c.crash(Mid(3));
+        commits(&c, 10);
+        c.recover(Mid(3));
+        commits(&c, 10);
+        c.crash(Mid(2));
+        let outcome = c.submit(CLIENT, vec![counter::incr(SERVER, 0, 1)]);
+        let Ok(TxnOutcome::Committed { results }) = outcome else { panic!("{outcome:?}") };
+        assert_eq!(counter::decode_value(&results[0]), Ok(41), "every commit counted");
+        for mid in [Mid(1), Mid(3)] {
+            let checkpoints = c.store_metrics(mid).expect("a store").checkpoints;
+            assert!(checkpoints >= 2, "{mid} wrote {checkpoints} checkpoints");
+        }
+        c.shutdown();
+        #[expect(
+            clippy::let_underscore_must_use,
+            reason = "best-effort cleanup: a leftover temp directory fails nothing"
+        )]
+        let _: std::io::Result<()> = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
     fn durable_mem_cluster_recovers_crashed_cohort_from_wal() {
         let c = build(ClusterBuilder::new().durable(FsyncPolicy::EveryRecord));
         commits(&c, 1);
@@ -1543,7 +1661,8 @@ mod tests {
         let (wake_tx, wake_rx) = bounded::<()>(1);
         wake_tx.send(()).unwrap();
         drop(wake_tx); // one wake; the closed channel then stops the loop
-        flusher_loop(Mid(1), &store, &queue, &wake_rx);
+        let (_checkpoint_tx, checkpoint_rx) = bounded::<DurableEvent>(1);
+        flusher_loop(Mid(1), &store, &queue, &wake_rx, &checkpoint_rx);
         assert_eq!(store.lock().unsynced_records(), 0, "inline fallback flushed the batch");
         assert!(
             matches!(
@@ -1653,6 +1772,46 @@ mod tests {
         commits(&c, 10);
         assert!(c.store_metrics(Mid(3)).expect("a store").appends > stopped, "m3 recovered");
         assert!(c.metrics().group_fsyncs > 0, "flusher completions reached the host");
+        c.shutdown();
+    }
+
+    /// CPU time the host thread has used so far, in clock ticks
+    /// (`/proc/thread-self/stat` read on the host thread).
+    #[cfg(target_os = "linux")]
+    fn host_cpu_ticks(c: &Cluster) -> u64 {
+        let stat = c
+            .on_host(|_| std::fs::read_to_string("/proc/thread-self/stat"))
+            .expect("a running host")
+            .expect("procfs");
+        // Fields after the parenthesised name: state is the first,
+        // utime and stime the 12th and 13th.
+        let fields: Vec<&str> =
+            stat[stat.rfind(')').expect("stat format") + 2..].split(' ').collect();
+        fields[11].parse::<u64>().expect("utime") + fields[12].parse::<u64>().expect("stime")
+    }
+
+    #[test]
+    #[cfg(target_os = "linux")]
+    fn the_host_idles_while_a_stopped_cohort_waits_for_crash() {
+        // A stopped cohort's timers must not keep the host awake: the
+        // host sleeps until the live cohorts' next timer, not until a
+        // due timer of a cohort that will never run it.
+        let c = group_commit_cluster();
+        commits(&c, 3);
+        c.fail_next_syncs(Mid(3), 1);
+        commits(&c, 5);
+        // Let the stopped cohort's earliest timer fall due.
+        std::thread::sleep(Duration::from_millis(300));
+        let (t0, before) = (Instant::now(), host_cpu_ticks(&c));
+        std::thread::sleep(Duration::from_millis(1000));
+        let used = host_cpu_ticks(&c) - before;
+        // Clock ticks are 10 ms on Linux; the idle host used 0–2 here,
+        // a spinning one as many as the window holds.
+        let window = t0.elapsed().as_millis() as u64 / 10;
+        assert!(used * 4 < window, "host used {used} of {window} ticks while idle");
+        c.crash(Mid(3));
+        c.recover(Mid(3));
+        commits(&c, 3);
         c.shutdown();
     }
 

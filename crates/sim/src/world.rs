@@ -284,10 +284,10 @@ impl EffectHost for World {
 
     /// Durable worlds write the cohort's WAL; without disks the effect
     /// is dropped, which *is* the paper's no-disk design.
-    fn persist(&mut self, mid: Mid, event: &DurableEvent) -> Option<PersistDelta> {
+    fn persist(&mut self, mid: Mid, event: DurableEvent) -> Option<PersistDelta> {
         let disk = self.disks.get_mut(&mid)?;
         let (before, unsynced_before) = (disk.metrics(), disk.unsynced_records());
-        disk.persist(event)
+        disk.persist(&event)
             .expect("invariant: the world never arms sync-failure injection on its disks");
         let d = disk.metrics().since(&before);
         Some(PersistDelta {
